@@ -69,14 +69,11 @@ from .presentation import (
 )
 from .quotients import (
     Budget,
-    Hom,
     HolomorphQuotient,
     HolomorphUnavailable,
     QuotientOracle,
     Verdict,
     VerifyReport,
-    enumerate_homs,
-    evaluate_word,
     holomorph_quotient,
     membership_verdict,
     verify_theorem,

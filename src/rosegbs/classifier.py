@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .numtheory import is_p_power, is_prime, p_valuation
-from .presentation import RoseGbs, Word, commutator, generator, reduce
+from .presentation import RoseGbs, Word, commutator, conjugate, generator, reduce
 
 
 class _InfinityType:
@@ -322,12 +322,7 @@ def moldavanskii_r1(pres: RoseGbs, p: int, k_bound: int = 2) -> MoldavanskiiFami
     for k in range(-k_bound, k_bound + 1):
         if k == 0:
             continue
-        w = commutator(conjugate_by_t(generator(0, p**s), k), a)
+        w = commutator(conjugate(generator(0, p**s), generator(1, k)), a)
         if not w.is_identity():
             words.append(w)
     return MoldavanskiiFamily(Case.TWO, None, tuple(words))
-
-
-def conjugate_by_t(w: Word, k: int) -> Word:
-    """t1^k w t1^(-k)."""
-    return reduce([(1, k)] + list(w.letters) + [(1, -k)])

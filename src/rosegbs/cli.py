@@ -9,7 +9,8 @@ produce byte-identical output; JSON reports follow data/report.schema.json.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify found a
 theorem-violation (or catalog validation failed), 2 invalid input,
-3 verify was inconclusive only.
+3 verify was inconclusive only, 4 internal error (any other exception, such
+as MemoryError; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .classifier import (
@@ -470,6 +472,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, PresentationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug or resource failure must not read as exit 1
+        traceback.print_exc(file=sys.stderr)
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

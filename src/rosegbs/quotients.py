@@ -1,14 +1,18 @@
 """The brute-force oracle: kernel membership in finite p-quotients.
 
-Two families of targets are available.  Catalog targets are the shipped
+Two kinds of targets are available.  Catalog targets are the shipped
 power-commutator groups; for those, every assignment of images to
 (a, t_1..t_r) satisfying the loop relations is enumerated exhaustively (a
-homomorphism of the HNN extension is exactly such an assignment).  Holomorph
+homomorphism of the HNN extension is exactly such an assignment), and a word
+is evaluated under all of them at once by table gathers.  Holomorph
 targets realize the quotient Z/p^s twisted by the conjugation units c_i with
 n_i c_i = m_i mod p^s, as pairs (k mod p^s, h) with h in the unit subgroup H
 generated by the c_i; they exist when every loop has equal valuations on both
 sides and H is a p-group, and contribute one canonical homomorphism each
-(a -> (1, 1), t_i -> (0, c_i)).
+(a -> (1, 1), t_i -> (0, c_i)), evaluated in closed form on exact integers.
+
+Both kinds offer order, homs (how many homomorphisms they test) and
+separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
 
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
@@ -19,9 +23,8 @@ assignments in lexicographic order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .classifier import (
     Classification,
     Orientation,
     classify,
+    loop_data,
     moldavanskii_r1,
 )
 from .generators import (
@@ -41,7 +45,7 @@ from .generators import (
     case2_generators,
     family_mixed,
 )
-from .numtheory import inverse_mod, is_p_power, is_prime, p_valuation
+from .numtheory import inverse_mod, is_p_power, is_prime
 from .pcgroup import PcGroup, builtin_catalog
 from .presentation import RoseGbs, Word, generator
 
@@ -59,32 +63,6 @@ class Budget:
     def __post_init__(self):
         if self.max_order < 0 or self.s_max < 0:
             raise ValueError("budget values must be non-negative")
-
-
-@dataclass(frozen=True)
-class Hom:
-    """Images of (a, t_1..t_r) in a catalog group, one per stable letter."""
-
-    group: PcGroup
-    image_a: int
-    image_t: tuple[int, ...]
-
-    def validate(self, pres: RoseGbs) -> bool:
-        g = self.group
-        for loop, ti in zip(pres.loops, self.image_t):
-            lhs = g.mult(g.mult(ti, g.power(self.image_a, loop.n)), g.inverse(ti))
-            if lhs != g.power(self.image_a, loop.m):
-                return False
-        return True
-
-    def describe(self) -> dict:
-        g = self.group
-        return {
-            "target": g.name,
-            "order": g.order,
-            "image_a": g.element_str(self.image_a),
-            "image_t": [g.element_str(t) for t in self.image_t],
-        }
 
 
 def _assignment_grid(order: int, r: int) -> np.ndarray:
@@ -113,27 +91,6 @@ def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarr
     return a_img[keep], [ti[keep] for ti in t_imgs]
 
 
-def enumerate_homs(pres: RoseGbs, group: PcGroup) -> list[Hom]:
-    """Every homomorphism pres -> group, in lexicographic image order."""
-    a_img, t_imgs = hom_arrays(pres, group)
-    return [
-        Hom(group, int(a_img[i]), tuple(int(t[i]) for t in t_imgs))
-        for i in range(len(a_img))
-    ]
-
-
-def evaluate_word(w: Word, hom: Hom) -> int:
-    """Image of w under hom, by collection in the target group."""
-    g = hom.group
-    acc = g.identity
-    for gen, exp in w.letters:
-        if gen > len(hom.image_t):
-            raise ValueError(f"word uses t{gen} but the hom has r={len(hom.image_t)}")
-        base = hom.image_a if gen == 0 else hom.image_t[gen - 1]
-        acc = g.mult(acc, g.power(base, exp))
-    return acc
-
-
 def evaluate_word_bulk(
     w: Word, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -143,6 +100,41 @@ def evaluate_word_bulk(
         img = a_img if gen == 0 else t_imgs[gen - 1]
         acc = group.table[acc, group.pow_table[img, exp % group.order]]
     return acc
+
+
+@dataclass(frozen=True)
+class CatalogHoms:
+    """Every homomorphism into one catalog group, as the hom_arrays images."""
+
+    group: PcGroup
+    a_img: np.ndarray
+    t_imgs: Sequence[np.ndarray]
+
+    @property
+    def order(self) -> int:
+        return self.group.order
+
+    @property
+    def homs(self) -> int:
+        return len(self.a_img)
+
+    def separate(self, w: Word) -> Optional[dict]:
+        """Witness for the first hom (in lexicographic order) under which w is
+        not the identity, or None."""
+        g = self.group
+        images = evaluate_word_bulk(w, g, self.a_img, self.t_imgs)
+        hits = np.nonzero(images)[0]
+        if not len(hits):
+            return None
+        i = int(hits[0])
+        return {
+            "kind": "catalog",
+            "target": g.name,
+            "order": g.order,
+            "image_a": g.element_str(int(self.a_img[i])),
+            "image_t": [g.element_str(int(t[i])) for t in self.t_imgs],
+            "word_image": g.element_str(int(images[i])),
+        }
 
 
 # --- holomorph quotients ------------------------------------------------------
@@ -167,53 +159,37 @@ class HolomorphQuotient:
     s: int
     c: tuple[int, ...]
     h_order: int
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.s
+    homs: ClassVar[int] = 1  # the canonical homomorphism only
 
     @property
     def order(self) -> int:
-        return self.modulus * self.h_order
-
-    @property
-    def identity(self) -> tuple[int, int]:
-        return (0, 1)
-
-    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        q = self.modulus
-        return ((x[0] + x[1] * y[0]) % q, (x[1] * y[1]) % q)
-
-    def inv(self, x: tuple[int, int]) -> tuple[int, int]:
-        q = self.modulus
-        hi = inverse_mod(x[1], q)
-        return ((-hi * x[0]) % q, hi)
-
-    def pow(self, x: tuple[int, int], e: int) -> tuple[int, int]:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        acc, base = self.identity, x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self.p**self.s * self.h_order
 
     def evaluate(self, w: Word) -> tuple[int, int]:
-        acc = self.identity
+        """Image (k, h) of w: right-multiplying by (1, 1)^e = (e, 1) adds h*e
+        to k, and by (0, c_i)^e = (0, c_i^e) multiplies h by c_i^e."""
+        q = self.p**self.s
+        k, h = 0, 1
         for gen, exp in w.letters:
-            base = (1, 1) if gen == 0 else (0, self.c[gen - 1])
-            acc = self.mul(acc, self.pow(base, exp))
-        return acc
+            if gen == 0:
+                k = (k + h * exp) % q
+            else:
+                h = h * pow(self.c[gen - 1], exp, q) % q
+        return k, h
 
-    def describe(self) -> dict:
+    def separate(self, w: Word) -> Optional[dict]:
+        """Witness if the canonical homomorphism does not kill w, else None."""
+        k, h = self.evaluate(w)
+        if (k, h) == (0, 1):
+            return None
         return {
+            "kind": "holomorph",
             "target": f"holomorph(s={self.s})",
             "order": self.order,
             "c": list(self.c),
             "image_a": "(1, 1)",
             "image_t": [f"(0, {c})" for c in self.c],
+            "word_image": f"({k}, {h})",
         }
 
 
@@ -236,31 +212,24 @@ def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:
     Exists only when sigma_i == tau_i for every loop; c_i is the least
     positive lift of m_hat_i * n_hat_i^(-1) mod p^(s - sigma_i) coprime to p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    loops = loop_data(pres, p)  # raises ValueError if p is not prime
     if s < 1:
         raise ValueError("need s >= 1")
     q = p**s
     cs = []
-    lemma_aut_applies = True
-    for i, loop in enumerate(pres.loops, 1):
-        sigma, m_hat = p_valuation(loop.m, p)
-        tau, n_hat = p_valuation(loop.n, p)
-        if sigma != tau:
+    for L in loops:
+        if L.sigma != L.tau:
             raise HolomorphUnavailable(
                 "not-applicable",
-                f"loop {i} has unequal valuations sigma={sigma}, tau={tau}",
+                f"loop {L.index} has unequal valuations sigma={L.sigma},"
+                f" tau={L.tau}",
             )
-        if (m_hat - n_hat) % p != 0:
-            lemma_aut_applies = False
-        modulus = p ** (s - sigma) if s > sigma else 1
-        c = (m_hat * inverse_mod(n_hat, modulus)) % modulus if modulus > 1 else 1
-        while math.gcd(c, p) != 1:  # defensive; lifts of units are units
-            c += modulus
-        cs.append(c % q)
+        # a unit residue in [1, p^(s - sigma)) when s > sigma, else 0 -> 1
+        modulus = p ** max(s - L.sigma, 0)
+        cs.append(L.m_hat * inverse_mod(L.n_hat, modulus) % modulus or 1)
     h_order = _unit_subgroup_order(cs, q)
     if not is_p_power(h_order, p):
-        if lemma_aut_applies:
+        if all(not L.theta_finite for L in loops):
             raise RuntimeError(
                 "unit subgroup order is not a p-power although every loop has"
                 " p | (m_hat - n_hat); this contradicts the automorphism-order"
@@ -270,15 +239,11 @@ def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:
             "not-a-p-group",
             f"unit subgroup has order {h_order}, not a power of {p}",
         )
-    hq = HolomorphQuotient(p, s, tuple(cs), h_order)
-    for i, loop in enumerate(pres.loops, 1):
-        lhs = hq.mul(
-            hq.mul((0, hq.c[i - 1]), hq.pow((1, 1), loop.n)),
-            hq.inv((0, hq.c[i - 1])),
-        )
-        if lhs != hq.pow((1, 1), loop.m):
-            raise RuntimeError(f"holomorph images violate loop {i}; lift bug")
-    return hq
+    # t_i a^n t_i^(-1) = (0, c)(n, 1)(0, c^(-1)) = (c n, 1) must equal a^m = (m, 1)
+    for L, c in zip(loops, cs):
+        if (c * L.n - L.m) % q:
+            raise RuntimeError(f"holomorph images violate loop {L.index}; lift bug")
+    return HolomorphQuotient(p, s, tuple(cs), h_order)
 
 
 # --- verdicts -----------------------------------------------------------------
@@ -301,7 +266,8 @@ class Verdict:
 
 
 class QuotientOracle:
-    """Budgeted, deterministic sweep over catalog homs and holomorphs."""
+    """Budgeted, deterministic sweep over catalog homs and holomorphs; catalog
+    groups with order**(r+1) > MAX_ASSIGNMENTS are left out (skipped_groups)."""
 
     def __init__(
         self,
@@ -317,7 +283,11 @@ class QuotientOracle:
         self.budget = budget
         if catalog is None:
             catalog = builtin_catalog(p) if budget.max_order > 0 else ()
-        self.groups = [g for g in catalog if g.order <= budget.max_order]
+        in_budget = [g for g in catalog if g.order <= budget.max_order]
+        self.groups = [
+            g for g in in_budget if g.order ** (pres.r + 1) <= MAX_ASSIGNMENTS
+        ]
+        self.skipped_groups = [g.name for g in in_budget if g not in self.groups]
         self._hom_cache: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
@@ -333,40 +303,27 @@ class QuotientOracle:
             self._hom_cache[group.name] = hom_arrays(self.pres, group)
         return self._hom_cache[group.name]
 
+    def targets(self) -> Iterator[CatalogHoms | HolomorphQuotient]:
+        """Catalog hom sets in file order, then holomorphs by s; hom sets are
+        enumerated (and cached) only when reached."""
+        for group in self.groups:
+            yield CatalogHoms(group, *self.homs_for(group))
+        yield from self.holomorphs
+
     @property
     def total_homs(self) -> int:
-        return sum(len(self.homs_for(g)[0]) for g in self.groups) + len(
-            self.holomorphs
-        )
+        return sum(t.homs for t in self.targets())
 
     def verdict(self, w: Word) -> Verdict:
         if w.max_gen() > self.pres.r:
             raise ValueError("word uses a stable letter outside the presentation")
         tested = 0
         max_order = 0
-        for group in self.groups:
-            a_img, t_imgs = self.homs_for(group)
-            tested += len(a_img)
-            max_order = max(max_order, group.order)
-            images = evaluate_word_bulk(w, group, a_img, t_imgs)
-            hits = np.nonzero(images)[0]
-            if len(hits):
-                i = int(hits[0])
-                hom = Hom(group, int(a_img[i]), tuple(int(t[i]) for t in t_imgs))
-                witness = hom.describe() | {
-                    "kind": "catalog",
-                    "word_image": group.element_str(int(images[i])),
-                }
-                return Verdict(w, True, tested, max_order, witness)
-        for hq in self.holomorphs:
-            tested += 1
-            max_order = max(max_order, hq.order)
-            image = hq.evaluate(w)
-            if image != hq.identity:
-                witness = hq.describe() | {
-                    "kind": "holomorph",
-                    "word_image": f"({image[0]}, {image[1]})",
-                }
+        for target in self.targets():
+            tested += target.homs
+            max_order = max(max_order, target.order)
+            witness = target.separate(w)
+            if witness is not None:
                 return Verdict(w, True, tested, max_order, witness)
         return Verdict(w, False, tested, max_order)
 
@@ -470,6 +427,11 @@ def verify_theorem(
     checks.extend(containment)
     violations.extend(c for c in containment if c.verdict.separated)
 
+    if oracle.skipped_groups:
+        inconclusive.append(
+            f"catalog groups {', '.join(oracle.skipped_groups)} skipped: order^"
+            f"{pres.r + 1} exceeds {MAX_ASSIGNMENTS}; lower --budget.max-order"
+        )
     if oracle.total_homs == 0:
         inconclusive.append("no quotients within budget; nothing was tested")
 
@@ -494,6 +456,9 @@ def verify_theorem(
         violations.extend(c for c in mold if c.verdict.separated)
 
     if cls.case == Case.TWO:
+        mixed_separations = sum(
+            1 for c in containment if c.family == "mixed" and c.verdict.separated
+        )
         alt_orientation = (
             Orientation.INTRO_VERBATIM
             if orientation is Orientation.CANONICAL
@@ -506,12 +471,8 @@ def verify_theorem(
         )
         checks.extend(alt_mixed)
         counts = {
-            orientation.value: sum(
-                1 for c in containment if c.family == "mixed" and c.verdict.separated
-            ),
-            alt_orientation.value: sum(
-                1 for c in alt_mixed if c.verdict.separated
-            ),
+            orientation.value: mixed_separations,
+            alt_orientation.value: sum(1 for c in alt_mixed if c.verdict.separated),
         }
         surviving = [o for o, c in counts.items() if c == 0]
         orientation_report = {
@@ -531,11 +492,7 @@ def verify_theorem(
         checks.extend(alt_results)
         mixed_order_report = {
             "separations": {
-                mixed_order.value: sum(
-                    1
-                    for c in containment
-                    if c.family == "mixed" and c.verdict.separated
-                ),
+                mixed_order.value: mixed_separations,
                 alt_order.value: sum(1 for c in alt_results if c.verdict.separated),
             },
             "default": MixedOrder.CONJUGATE.value,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from rosegbs.cli import main
 PRES1 = "<a,t1|t1 a^2 t1^-1 = a^12>"
 PRES_CASE2 = "<a,t1|t1 a^3 t1^-1 = a^1>"
 PRES_R2 = "<a,t1,t2|t1 a^2 t1^-1 = a^2 ; t2 a^4 t2^-1 = a^4>"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,32 @@ def test_verify_exit_codes(capsys, schema):
     jsonschema.validate(rep, schema)
 
 
+@pytest.mark.parametrize("error", [RuntimeError("lift bug"), MemoryError("boom")])
+def test_unexpected_failure_exits_4(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("rosegbs.cli.verify_theorem", fail)
+    assert main(["verify", "-p", "2", PRES1]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert f"error: internal: {type(error).__name__}: {error}" in err
+
+
+def test_verify_assignment_cap_is_inconclusive(capsys, monkeypatch, schema):
+    # order^2 > 100 leaves out every group of order 16; C2 still separates a
+    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", 100)
+    code, rep = run_json(capsys, "verify", "-p", "2", PRES1)
+    assert code == 3 and rep["status"] == "inconclusive"
+    jsonschema.validate(rep, schema)
+    assert "C16" not in rep["catalog"] and "C8" in rep["catalog"]
+    [reason] = rep["inconclusive"]
+    assert "C16" in reason and "--budget.max-order" in reason
+    [sep] = [v for v in rep["verdicts"] if v["check"] == "separation"]
+    assert sep["verdict"] == "separated"
+    assert rep["witnesses"][0]["target"] == "C2"
+
+
 def test_verify_case2_json(capsys, schema):
     code, rep = run_json(capsys, "verify", "-p", "2", PRES_CASE2,
                          "--bounds.k-max", "1")
@@ -127,6 +155,31 @@ def test_verify_deterministic_output(capsys):
     _, out1 = run(capsys, "verify", "-p", "2", PRES_CASE2, "--format", "json")
     _, out2 = run(capsys, "verify", "-p", "2", PRES_CASE2, "--format", "json")
     assert out1 == out2
+
+
+# Recorded `verify --format json` stdout; together these cover a catalog
+# witness, a holomorph witness with a later holomorph unavailable, holomorph
+# witnesses in the orientation adjudication, and both witness kinds at r = 2.
+GOLDEN_VERIFY = {
+    "verify_case1_catalog.json": ["-p", "2", "<a,t1 | t1 a^2 t1^-1 = a^12>"],
+    "verify_holomorph_unavailable.json": [
+        "-p", "3", "<a,t1 | t1 a^9 t1^-1 = a^18>", "--budget.max-order", "3",
+    ],
+    "verify_orientation_holomorph.json": [
+        "-p", "2", "<a,t1 | t1 a^3 t1^-1 = a^1>", "--bounds.k-max", "1",
+    ],
+    "verify_r2_both_kinds.json": [
+        "-p", "2", "<a,t1,t2 | t1 a^3 t1^-1 = a^1 ; t2 a^5 t2^-1 = a^1>",
+        "--bounds.k-max", "1", "--bounds.comm-len", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_golden_output(capsys, name):
+    code, out = run(capsys, "verify", *GOLDEN_VERIFY[name], "--format", "json")
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")
 
 
 def test_presentation_from_file(tmp_path, capsys):
