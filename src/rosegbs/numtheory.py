@@ -183,7 +183,7 @@ def multiplicative_order(c: int, p: int, s: int) -> int:
         raise ValueError(f"{c} is not a unit mod {p}^{s}")
     # group order phi(p^s) = p^(s-1) * (p-1); peel off prime factors
     order = p ** (s - 1) * (p - 1)
-    for q in _prime_factors(p ** (s - 1) * (p - 1)):
+    for q in [p, *_prime_factors(p - 1)]:
         while order % q == 0 and pow(c, order // q, modulus) == 1:
             order //= q
     return order
@@ -201,6 +201,21 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power_split(q: int) -> tuple[int, int]:
+    """(p, s) with q == p**s and s as large as possible (p prime if q is a
+    prime power)."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    for s in range(q.bit_length(), 1, -1):
+        # Newton's method for floor(q ** (1/s)) from above, on exact integers
+        x = 1 << -(-q.bit_length() // s)
+        while (y := ((s - 1) * x + q // x ** (s - 1)) // s) < x:
+            x = y
+        if x**s == q:
+            return x, s
+    return q, 1
 
 
 def is_p_power(x: int, p: int) -> bool:

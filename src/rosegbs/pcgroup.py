@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -49,6 +50,11 @@ EXHAUSTIVE_ORDER_LIMIT = 128
 
 #: Hard cap on the order of a loadable group (table is order^2 entries).
 MAX_ORDER = 2**14
+
+#: Cap on order**k, the size of one exhaustive sweep of k-tuples of elements:
+#: the hom sweep of the quotient oracle (k = r + 1) and the automorphism
+#: search (k = ngens).
+MAX_ASSIGNMENTS = 2**24
 
 
 class CatalogError(ValueError):
@@ -117,6 +123,7 @@ class PcGroup:
         self.inv = self._build_inverses()
         self.pow_table = self._build_powers()
         self._validate(validation_seed)
+        self._orbit_masks: dict[int, np.ndarray] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -276,6 +283,97 @@ class PcGroup:
                         f"group {self.name}: commutator relation [g{j}, g{i}]"
                         " violated"
                     )
+
+    # -- symmetry (computed on first use, never at load) ------------------------
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        return bool(np.array_equal(self.table, self.table.T))
+
+    @cached_property
+    def automorphisms(self) -> np.ndarray:
+        """A subgroup A of Aut(G), one row per automorphism: row[x] is the
+        image of code x (uint8 codes up to order 256, else int16).
+
+        A is all of Aut(G) when order**ngens <= MAX_ASSIGNMENTS, else {id}.
+        Every assignment of images to g_1..g_n satisfying the power and
+        commutator relations extends to an endomorphism, since a consistent
+        pc presentation presents G; the injective ones are kept.  Candidates
+        are checked order**(ngens-1) at a time, one g_1-image per chunk, and
+        dropped at the first relation they fail.
+        """
+        n, k, p = self.order, self.ngens, self.p
+        dtype = np.uint8 if n <= 256 else np.int16
+        if k == 0 or n**k > MAX_ASSIGNMENTS:
+            return np.arange(n, dtype=dtype)[None]
+        t, pw, inv, pres = self.table, self.pow_table, self.inv, self.presentation
+        # (j, i, w): [g_j, g_i] = w;  (j, None, w): g_j^p = w
+        relations = [
+            (j, i, pres.comm_words.get((j, i), ()))
+            for j in range(2, k + 1) for i in range(1, j)
+        ]
+        relations += [(j, None, pres.pow_words.get(j, ())) for j in range(1, k + 1)]
+        rest = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, n ** (k - 1))
+        rows = []
+        for x1 in range(n):
+            imgs = [np.full(rest.shape[1], x1, dtype=np.int32), *rest]
+            for j, i, word in relations:
+                x = imgs[j - 1]
+                if i is None:
+                    lhs = pw[x, p % n]
+                else:
+                    y = imgs[i - 1]
+                    lhs = t[t[t[x, y], inv[x]], inv[y]]
+                rhs = np.zeros(len(x), dtype=np.int32)
+                for g, e in word:
+                    rhs = t[rhs, pw[imgs[g - 1], e % n]]
+                ok = lhs == rhs
+                imgs = [z[ok] for z in imgs]
+            # perm[:, code] = prod_i x_i^(e_i), built one exponent digit at a time
+            perm = np.zeros((len(imgs[0]), 1), dtype=np.int32)
+            for x in imgs:
+                powers = pw[x][:, :p]
+                perm = t[perm[:, :, None], powers[:, None, :]].reshape(
+                    len(perm), perm.shape[1] * p
+                )
+            # injective iff the kernel is trivial: only code 0 maps to 0
+            rows.append(perm[(perm[:, 1:] != 0).all(axis=1)].astype(dtype))
+        return np.concatenate(rows)
+
+    def orbit_least_mask(self, k: int) -> np.ndarray:
+        """Over all order**k tuples of element codes (in lexicographic order,
+        the first coordinate most significant), whether the tuple is the
+        lexicographically least of its orbit under the diagonal action of
+        self.automorphisms.  Cached per k.
+
+        (x, rest) is least iff x is least in its orbit and rest is least under
+        the stabiliser of x: an automorphism moving x lower makes the tuple
+        lower, one moving x higher makes it higher, and one fixing x compares
+        on rest.  So the mask is built down a stabiliser chain.
+        """
+        if k not in self._orbit_masks:
+            auts = self.automorphisms
+            n = self.order
+            memo: dict[tuple[bytes, int], np.ndarray] = {}
+
+            def least(rows: np.ndarray, k: int) -> np.ndarray:
+                key = (rows.tobytes(), k)
+                if key not in memo:
+                    sub = auts[rows]
+                    first = sub.min(axis=0) == np.arange(n)
+                    if len(rows) == 1:
+                        memo[key] = np.ones(n**k, dtype=bool)
+                    elif k == 1:
+                        memo[key] = first
+                    else:
+                        blocks = np.zeros((n, n ** (k - 1)), dtype=bool)
+                        for x in np.flatnonzero(first):
+                            blocks[x] = least(rows[sub[:, x] == x], k - 1)
+                        memo[key] = blocks.reshape(-1)
+                return memo[key]
+
+            self._orbit_masks[k] = least(np.arange(len(auts)), k)
+        return self._orbit_masks[k]
 
     # -- element operations ----------------------------------------------------
 

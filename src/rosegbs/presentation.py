@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 #: Generator index: 0 denotes a, i >= 1 denotes t_i.
@@ -106,6 +107,15 @@ class Word:
 
     def max_gen(self) -> int:
         return max((g for g, _ in self.letters), default=0)
+
+    @cached_property
+    def abelianised(self) -> "Word":
+        """a^(e_0) t_1^(e_1) .. t_r^(e_r), e_g the exponent sum of generator
+        g in this word: the same image under any map into an abelian group."""
+        sums: dict[int, int] = {}
+        for gen, exp in self.letters:
+            sums[gen] = sums.get(gen, 0) + exp
+        return Word(tuple((g, e) for g, e in sorted(sums.items()) if e))
 
     def __str__(self) -> str:
         return print_word(self)

@@ -14,6 +14,28 @@ sides and H is a p-group, and contribute one canonical homomorphism each
 Both kinds offer order, homs (how many homomorphisms they test) and
 separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
 
+A catalog target counts every homomorphism in homs, but separate() reports
+the first separating one (in lexicographic order) while evaluating the word
+far fewer times, by one of two reductions that keep the witness exactly:
+
+* Non-abelian G: Aut(G)-orbit representatives.  For a homomorphism phi and
+  alpha in a subgroup A of Aut(G), alpha o phi is again a homomorphism and
+  phi(w) != 1 iff alpha(phi(w)) != 1, so the separating homomorphisms are a
+  union of A-orbits (A acting on the tuples (phi(a), phi(t_1), ..)
+  coordinate-wise).  The lexicographically first separating homomorphism is
+  then the least of its orbit, as any other member of the orbit separates
+  too and so cannot come earlier.  Scanning only the orbit-least
+  homomorphisms, in lexicographic order, therefore finds the same first hit.
+  This holds for every subgroup A (A = {id} is the full sweep), so nothing
+  depends on the catalog being complete; PcGroup.automorphisms is all of
+  Aut(G) within its sweep cap and {id} beyond it.
+* Abelian G: exponent sums.  There phi(w) = phi(a)^(e_0) phi(t_1)^(e_1) ..
+  phi(t_r)^(e_r), e_g the exponent sum of generator g in w, which is the
+  image of Word.abelianised.  A word with every exponent sum zero lies in
+  every abelian kernel and is not evaluated at all; any other word is
+  evaluated as its abelianised word, which has the same images and so the
+  same first separating homomorphism and word image.
+
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
 of membership, never proof.  Witness reporting is deterministic: targets are
@@ -23,6 +45,7 @@ assignments in lexicographic order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Sequence
 
@@ -45,12 +68,15 @@ from .generators import (
     case2_generators,
     family_mixed,
 )
-from .numtheory import inverse_mod, is_p_power, is_prime
-from .pcgroup import PcGroup, builtin_catalog
+from .numtheory import (
+    inverse_mod,
+    is_p_power,
+    is_prime,
+    multiplicative_order,
+    prime_power_split,
+)
+from .pcgroup import MAX_ASSIGNMENTS, PcGroup, builtin_catalog
 from .presentation import RoseGbs, Word, generator
-
-#: Cap on order**(r+1), the size of one exhaustive assignment sweep.
-MAX_ASSIGNMENTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -65,30 +91,32 @@ class Budget:
             raise ValueError("budget values must be non-negative")
 
 
-def _assignment_grid(order: int, r: int) -> np.ndarray:
-    if order ** (r + 1) > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"assignment sweep {order}^{r + 1} exceeds {MAX_ASSIGNMENTS};"
-            " lower the catalog budget"
-        )
-    return np.indices((order,) * (r + 1), dtype=np.int32).reshape(r + 1, -1)
-
-
 def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarray]]:
     """All satisfying assignments, as an a-image array plus one array per t_i.
 
     Assignments come out in lexicographic order of (a, t_1, .., t_r) codes.
+    Loop i constrains only (a, t_i), so it is checked once per pair, on an
+    order x order table, and broadcast over the order**(r+1) grid.
     """
-    grid = _assignment_grid(group.order, pres.r)
-    a_img, t_imgs = grid[0], list(grid[1:])
+    n, r = group.order, pres.r
+    if n ** (r + 1) > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"assignment sweep {n}^{r + 1} exceeds {MAX_ASSIGNMENTS};"
+            " lower the catalog budget"
+        )
     table, pw, inv = group.table, group.pow_table, group.inv
-    n = group.order
-    mask = np.ones(a_img.shape, dtype=bool)
-    for loop, ti in zip(pres.loops, t_imgs):
-        lhs = table[table[ti, pw[a_img, loop.n % n]], inv[ti]]
-        mask &= lhs == pw[a_img, loop.m % n]
-    keep = np.nonzero(mask)[0]
-    return a_img[keep], [ti[keep] for ti in t_imgs]
+    a, t = np.arange(n)[:, None], np.arange(n)[None, :]
+    mask = np.ones((n,) * (r + 1), dtype=bool)
+    for i, loop in enumerate(pres.loops, 1):
+        ok = table[table[t, pw[a, loop.n % n]], inv[t]] == pw[a, loop.m % n]
+        mask &= ok.reshape((n,) + (1,) * (i - 1) + (n,) + (1,) * (r - i))
+    code = np.flatnonzero(mask).astype(np.int32)
+    imgs = []
+    for _ in range(r + 1):
+        code, digit = np.divmod(code, n)
+        imgs.append(digit)
+    a_img, *t_imgs = reversed(imgs)
+    return a_img, t_imgs
 
 
 def evaluate_word_bulk(
@@ -104,24 +132,40 @@ def evaluate_word_bulk(
 
 @dataclass(frozen=True)
 class CatalogHoms:
-    """Every homomorphism into one catalog group, as the hom_arrays images."""
+    """The homomorphisms into one catalog group that separate() evaluates:
+    every hom for an abelian group, the Aut(G)-orbit representatives for a
+    non-abelian one (see the module docstring); homs counts them all."""
 
     group: PcGroup
     a_img: np.ndarray
     t_imgs: Sequence[np.ndarray]
+    homs: int
+
+    @classmethod
+    def of(cls, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]):
+        """From the hom_arrays of group, keeping the lexicographically least
+        hom of each orbit when the group is non-abelian."""
+        homs = len(a_img)
+        if not group.is_abelian:
+            code = a_img
+            for t in t_imgs:
+                code = code * group.order + t
+            keep = group.orbit_least_mask(1 + len(t_imgs))[code]
+            a_img, t_imgs = a_img[keep], [t[keep] for t in t_imgs]
+        return cls(group, a_img, t_imgs, homs)
 
     @property
     def order(self) -> int:
         return self.group.order
 
-    @property
-    def homs(self) -> int:
-        return len(self.a_img)
-
     def separate(self, w: Word) -> Optional[dict]:
         """Witness for the first hom (in lexicographic order) under which w is
         not the identity, or None."""
         g = self.group
+        if g.is_abelian:
+            w = w.abelianised
+            if w.is_identity():
+                return None
         images = evaluate_word_bulk(w, g, self.a_img, self.t_imgs)
         hits = np.nonzero(images)[0]
         if not len(hits):
@@ -194,6 +238,14 @@ class HolomorphQuotient:
 
 
 def _unit_subgroup_order(units: Sequence[int], q: int) -> int:
+    """Order of the subgroup of (Z/q)^* generated by units, q a prime power.
+
+    For odd q, (Z/q)^* is cyclic, so the order is the lcm of the units'
+    orders; (Z/2^s)^* is not cyclic for s >= 3 and is enumerated instead.
+    """
+    if q % 2:
+        p, s = prime_power_split(q)
+        return math.lcm(*(multiplicative_order(c, p, s) for c in units))
     seen = {1}
     frontier = [1]
     while frontier:
@@ -267,7 +319,17 @@ class Verdict:
 
 class QuotientOracle:
     """Budgeted, deterministic sweep over catalog homs and holomorphs; catalog
-    groups with order**(r+1) > MAX_ASSIGNMENTS are left out (skipped_groups)."""
+    groups with order**(r+1) > MAX_ASSIGNMENTS are left out (skipped_groups).
+
+    Holomorphs are built for s = 1, 2, .. and the first unavailable s ends
+    the list, since then every larger s is unavailable too.  "not-applicable"
+    (some sigma_i != tau_i) does not depend on s.  "not-a-p-group" arises only
+    for odd p, where (Z/p^s)^* = C_(p-1) x C_(p^(s-1)) and a unit has p-power
+    order iff it is 1 mod p: H_s is a p-group iff every c_i with s > sigma_i
+    is 1 mod p (the others are 1).  As c_i = m_hat_i / n_hat_i mod p for
+    every s > sigma_i, raising s only adds loops to that condition.  For
+    p = 2 every unit has 2-power order, so H_s is always a 2-group.
+    """
 
     def __init__(
         self,
@@ -289,14 +351,15 @@ class QuotientOracle:
         ]
         self.skipped_groups = [g.name for g in in_budget if g not in self.groups]
         self._hom_cache: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._catalog_homs: dict[str, CatalogHoms] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
         for s in range(1, budget.s_max + 1):
             try:
                 self.holomorphs.append(holomorph_quotient(pres, p, s))
             except HolomorphUnavailable as exc:
-                if self.holomorph_unavailable is None:
-                    self.holomorph_unavailable = f"s={s}: {exc}"
+                self.holomorph_unavailable = f"s={s}: {exc}"
+                break
 
     def homs_for(self, group: PcGroup) -> tuple[np.ndarray, list[np.ndarray]]:
         if group.name not in self._hom_cache:
@@ -307,7 +370,10 @@ class QuotientOracle:
         """Catalog hom sets in file order, then holomorphs by s; hom sets are
         enumerated (and cached) only when reached."""
         for group in self.groups:
-            yield CatalogHoms(group, *self.homs_for(group))
+            homs = self.homs_for(group)
+            if group.name not in self._catalog_homs:
+                self._catalog_homs[group.name] = CatalogHoms.of(group, *homs)
+            yield self._catalog_homs[group.name]
         yield from self.holomorphs
 
     @property

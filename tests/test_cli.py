@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,22 @@ def test_verify_assignment_cap_is_inconclusive(capsys, monkeypatch, schema):
     [sep] = [v for v in rep["verdicts"] if v["check"] == "separation"]
     assert sep["verdict"] == "separated"
     assert rep["witnesses"][0]["target"] == "C2"
+
+
+@pytest.mark.filterwarnings("ignore:no catalog available")
+def test_verify_holomorph_blowup_is_inconclusive(capsys, schema):
+    # the unit subgroup <2> mod 101^s has 100 * 101^(s-1) elements; the
+    # oracle must stop at s = 1 and never enumerate it
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "verify", "-p", "101",
+                         "<a,t1 | t1 a^1 t1^-1 = a^2>")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    jsonschema.validate(rep, schema)
+    assert rep["holomorph_s"] == []
+    assert rep["holomorph_unavailable"] == (
+        "s=1: not-a-p-group: unit subgroup has order 100, not a power of 101"
+    )
 
 
 def test_verify_case2_json(capsys, schema):

@@ -14,6 +14,7 @@ from rosegbs.numtheory import (
     legendre_valuation,
     multiplicative_order,
     p_valuation,
+    prime_power_split,
     solve_diophantine,
 )
 
@@ -185,3 +186,12 @@ def test_is_prime():
     assert [n for n in range(60) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     ]
+
+
+def test_prime_power_split():
+    for p in (2, 3, 101, 2**61 - 1):
+        for s in (1, 2, 7):
+            assert prime_power_split(p**s) == (p, s)
+    assert prime_power_split(36) == (6, 2)
+    with pytest.raises(ValueError):
+        prime_power_split(1)

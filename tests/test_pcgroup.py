@@ -174,3 +174,79 @@ def test_synthesized_catalog_for_other_primes():
     with pytest.warns(UserWarning):
         groups = builtin_catalog(7)
     assert [g.order for g in groups] == [7, 49, 49]
+
+
+# --- automorphisms -------------------------------------------------------------
+
+# |Aut(G)| of every non-abelian catalog group
+AUT_ORDERS = {
+    "D8": 8, "Q8": 24, "D16": 32, "SD16": 16, "Q16": 32, "M16": 16,
+    "D8xC2": 64, "Q8xC2": 192, "C4:C4": 32, "V4:C4": 32, "D8*C4": 48,
+    "He3": 432, "M27": 54, "He5": 12000, "M125": 500,
+}
+
+
+def all_groups():
+    return [g for p in (2, 3, 5) for g in builtin_catalog(p)]
+
+
+def test_abelian_flag():
+    abelian = [g.name for g in all_groups() if g.is_abelian]
+    assert len(abelian) == 23
+    assert sorted(g.name for g in all_groups() if not g.is_abelian) == sorted(
+        AUT_ORDERS
+    )
+    assert all(name.startswith("C") and ":" not in name for name in abelian)
+
+
+def test_automorphism_orders():
+    orders = {g.name: len(g.automorphisms) for g in all_groups() if not g.is_abelian}
+    assert orders == AUT_ORDERS
+    # abelian groups are never reduced by orbits, but the table is exact too
+    small_abelian = {"C2": 1, "C8": 4, "C2x2": 6, "C2x3": 168, "C3x2": 48, "C25": 20}
+    groups = {g.name: g for g in all_groups()}
+    assert {name: len(groups[name].automorphisms) for name in small_abelian} == (
+        small_abelian
+    )
+
+
+def test_automorphisms_are_bijective_homs():
+    for g in all_groups():
+        if g.is_abelian:
+            continue
+        auts = g.automorphisms.astype(np.int64)
+        assert auts.dtype == np.int64 and g.automorphisms.dtype == np.uint8
+        assert len(np.unique(auts, axis=0)) == len(auts)
+        assert (auts == np.arange(g.order)).all(axis=1).any()  # the identity
+        assert (np.sort(auts, axis=1) == np.arange(g.order)).all()
+        for chunk in np.array_split(auts, -(-len(auts) // 500)):
+            # alpha(x y) == alpha(x) alpha(y) for every x, y
+            lhs = chunk[:, g.table]
+            rhs = g.table[chunk[:, :, None], chunk[:, None, :]]
+            assert np.array_equal(lhs, rhs), g.name
+
+
+def test_automorphisms_identity_only_over_the_cap(monkeypatch):
+    monkeypatch.setattr("rosegbs.pcgroup.MAX_ASSIGNMENTS", 8**3 - 1)
+    (d8,) = load_catalog_text("group D8 p=2 n=3\npow 2 = g3\ncomm 2 1 = g3\nend\n")
+    assert np.array_equal(d8.automorphisms, [np.arange(8)])
+    assert d8.orbit_least_mask(2).all()
+
+
+def test_loading_builds_no_automorphism_table():
+    from importlib import resources
+
+    for p in (2, 3, 5):
+        text = resources.files("rosegbs.data").joinpath(f"catalog_p{p}.txt")
+        for g in load_catalog_text(text.read_text()):
+            assert "automorphisms" not in vars(g) and "is_abelian" not in vars(g)
+            assert not g._orbit_masks
+
+
+def test_orbit_least_mask_matches_brute_force():
+    for name in ("D8", "Q8"):
+        g = by_name(2)[name]
+        mask = g.orbit_least_mask(2)
+        for code, (x, y) in enumerate(itertools.product(range(g.order), repeat=2)):
+            orbit = {(int(a[x]), int(a[y])) for a in g.automorphisms}
+            assert mask[code] == ((x, y) == min(orbit))

@@ -154,3 +154,19 @@ def test_pow():
     assert w**0 == IDENTITY
     assert w**2 == concat(w, w)
     assert w**-1 == invert(w)
+
+
+def test_abelianised_examples():
+    w = parse_word("t1 a^2 t1^-1 a^-1 t2^3", PRES2)
+    assert w.abelianised == Word(((0, 1), (2, 3)))
+    assert parse_word("t1 a t1^-1 a^-1", PRES2).abelianised == IDENTITY
+
+
+@given(words())
+def test_abelianised_keeps_exponent_sums(w):
+    ab = w.abelianised
+    assert [g for g, _ in ab.letters] == sorted({g for g, _ in ab.letters})
+    for gen in range(3):
+        assert sum(e for g, e in ab.letters if g == gen) == sum(
+            e for g, e in w.letters if g == gen
+        )

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from rosegbs.quotients import (
     CatalogHoms,
     HolomorphUnavailable,
     QuotientOracle,
+    Verdict,
+    _unit_subgroup_order,
     evaluate_word_bulk,
     hom_arrays,
     holomorph_quotient,
@@ -56,6 +59,16 @@ def ref_evaluate(w, g, a, ts):
     for gen, exp in w.letters:
         acc = g.mult(acc, g.power(a if gen == 0 else ts[gen - 1], exp))
     return acc
+
+
+def ref_orbit_least(g, homs):
+    """The homs that are lexicographically least in their g.automorphisms
+    orbit, by applying every automorphism to every hom."""
+    flat = [(a, *ts) for a, ts in homs]
+    return [
+        h for h, f in zip(homs, flat)
+        if all(tuple(int(aut[x]) for x in f) >= f for aut in g.automorphisms)
+    ]
 
 
 def as_homs(a_img, t_imgs):
@@ -182,8 +195,10 @@ def test_targets_match_scalar_reference(case):
         if isinstance(target, CatalogHoms):
             g = target.group
             homs = ref_homs(pr, g)
-            assert as_homs(target.a_img, target.t_imgs) == homs
+            assert as_homs(*hom_arrays(pr, g)) == homs
             assert target.homs == len(homs)
+            evaluated = homs if g.is_abelian else ref_orbit_least(g, homs)
+            assert as_homs(target.a_img, target.t_imgs) == evaluated
             first = next(
                 (
                     (a, ts, image)
@@ -210,6 +225,75 @@ def test_targets_match_scalar_reference(case):
             assert (witness is None) == (pair == (0, 1))
     v = oracle.verdict(w)
     assert v.witness == next((x for x in witnesses if x is not None), None)
+
+
+# --- differential test: reduced oracle against the full sweep -----------------------
+
+FULL_MAX_ORDER = {2: 16, 3: 27}
+
+
+def full_sweep_verdict(oracle, w):
+    """The verdict of a sweep over every hom_arrays row of every catalog
+    group, in target order, then every available holomorph: no orbit or
+    exponent-sum reduction, and no stop at the first unavailable s."""
+    tested = max_order = 0
+    for g in oracle.groups:
+        a_img, t_imgs = hom_arrays(oracle.pres, g)
+        tested += len(a_img)
+        max_order = max(max_order, g.order)
+        images = evaluate_word_bulk(w, g, a_img, t_imgs)
+        hits = np.flatnonzero(images)
+        if len(hits):
+            i = hits[0]
+            return Verdict(w, True, tested, max_order, {
+                "kind": "catalog",
+                "target": g.name,
+                "order": g.order,
+                "image_a": g.element_str(int(a_img[i])),
+                "image_t": [g.element_str(int(t[i])) for t in t_imgs],
+                "word_image": g.element_str(int(images[i])),
+            })
+    for s in range(1, oracle.budget.s_max + 1):
+        try:
+            hq = holomorph_quotient(oracle.pres, oracle.p, s)
+        except HolomorphUnavailable:
+            continue
+        tested += hq.homs
+        max_order = max(max_order, hq.order)
+        witness = hq.separate(w)
+        if witness is not None:
+            return Verdict(w, True, tested, max_order, witness)
+    return Verdict(w, False, tested, max_order)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A presentation, a word (half the time with every exponent sum zero, so
+    that only non-abelian targets can separate it) and a catalog: the whole
+    catalog up to order 16 / 27, or its non-abelian groups shuffled."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 2))
+    exponent = st.integers(-12, 12).filter(bool)
+    loops = [(draw(exponent), draw(exponent)) for _ in range(r)]
+    letters = draw(st.lists(
+        st.tuples(st.integers(0, r), exponent), min_size=1, max_size=10
+    ))
+    w = reduce(letters)
+    if draw(st.booleans()):
+        w = w * Word(tuple((g, -e) for g, e in w.abelianised.letters))
+    groups = [g for g in builtin_catalog(p) if g.order <= FULL_MAX_ORDER[p]]
+    if draw(st.booleans()):
+        groups = draw(st.permutations([g for g in groups if not g.is_abelian]))
+    return p, pres(*loops), w, groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_reduced_oracle_matches_full_sweep(case):
+    p, pr, w, groups = case
+    budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=3)
+    oracle = QuotientOracle(pr, p, budget, groups)
+    assert oracle.verdict(w) == full_sweep_verdict(oracle, w)
 
 
 # --- holomorph quotients ----------------------------------------------------------
@@ -249,6 +333,31 @@ def test_holomorph_order_is_p_power_when_applicable():
         while order % p == 0:
             order //= p
         assert order == 1
+
+
+def bfs_unit_subgroup_order(units, q):
+    seen, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for y in ((x * c) % q for c in units):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen)
+
+
+def test_unit_subgroup_order_matches_bfs():
+    rng = random.Random(2024)
+    for _ in range(150):
+        p = rng.choice([3, 5, 7, 11, 13, 101])
+        s = rng.randint(1, 4 if p < 100 else 2)
+        q = p**s
+        units = [
+            rng.choice([c for c in range(1, min(q, 500)) if c % p])
+            for _ in range(rng.randint(1, 3))
+        ]
+        assert _unit_subgroup_order(units, q) == bfs_unit_subgroup_order(units, q)
+    assert _unit_subgroup_order([3], 16) == bfs_unit_subgroup_order([3], 16)
 
 
 def test_holomorph_pair_arithmetic():
