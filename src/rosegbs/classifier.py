@@ -243,34 +243,21 @@ def _loop_type(n: int, m: int, p: int) -> str:
 def residually_p(pres: RoseGbs, p: int) -> ResidualPReport:
     """Decide whether pres is a residually finite p-group.
 
-    For r = 1 the three Baumslag-Solitar conditions apply to the normalized
-    pair (0 < n <= |m|): n = 1 with m = 1 mod p, n = m = p^s, or p = 2 with
-    m = -n = -2^s.  For r >= 2 every loop must be n = m = p^s, or (p = 2)
-    n = +-2^s with m = 2^s up to the sign isomorphism; a loop of the BS(1, *)
-    type is incompatible with any second loop and yields a pair witness.
+    Each loop is typed by _loop_type.  For r = 1 the three Baumslag-Solitar
+    conditions apply: n = m = p^s (E), p = 2 with m = -n = -2^s (N), or
+    BS(1, 1 mod p) up to isomorphism (B).  For r >= 2 every loop must be E
+    or N; a loop of type B is incompatible with any second loop and yields a
+    pair witness.
     """
-    cls = classify(pres, p)
-    warnings = cls.warnings
-    if pres.r == 1:
-        loop = pres.loops[0]
-        n, m = _bs_normalize(loop.n, loop.m)
-        if n == m and is_p_power(n, p):
-            return ResidualPReport(p, True, Reason.ALL_LOOPS_EQUAL_P_POWER,
-                                   warnings=warnings)
-        if p == 2 and m == -n and is_p_power(n, 2):
-            return ResidualPReport(p, True, Reason.ALL_LOOPS_NEG_TWO_POWER,
-                                   warnings=warnings)
-        if n == 1 and (m - 1) % p == 0:
-            return ResidualPReport(p, True, Reason.BS_CASE_RULE, warnings=warnings)
-        return ResidualPReport(p, False, Reason.OBSTRUCTION, witness=(1,),
-                               obstruction_kind="single", warnings=warnings)
-
+    warnings = classify(pres, p).warnings
     types = [_loop_type(L.n, L.m, p) for L in pres.loops]
     bad = [i for i, t in enumerate(types, 1) if t == "X"]
     if bad:
         return ResidualPReport(p, False, Reason.OBSTRUCTION, witness=(bad[0],),
                                obstruction_kind="single", warnings=warnings)
     bs_loops = [i for i, t in enumerate(types, 1) if t == "B"]
+    if bs_loops and pres.r == 1:
+        return ResidualPReport(p, True, Reason.BS_CASE_RULE, warnings=warnings)
     if bs_loops:
         kappa = bs_loops[0]
         # any partner loop forms a non-residually-p BS subgroup <t_l t_k, a>

@@ -1,11 +1,14 @@
 """Command-line surface: classify, generators, residual, verify, catalog-validate.
 
 Presentations are passed inline (anything starting with '<') or as a path to
-a file containing one.  Every flag can also be set through an environment
-variable with the ROSEGBS_ prefix (ROSEGBS_P, ROSEGBS_K_MAX, ROSEGBS_COMM_LEN,
-ROSEGBS_COUNT_LIMIT, ROSEGBS_MAX_ORDER, ROSEGBS_S_MAX, ROSEGBS_FORMAT,
-ROSEGBS_ORIENTATION, ROSEGBS_MIXED_ORDER, ROSEGBS_SEED).  Identical inputs
-produce byte-identical output; JSON reports follow data/report.schema.json.
+a file containing one.  Every option in SETTINGS can also be set through an
+environment variable with the ROSEGBS_ prefix (ROSEGBS_P, ROSEGBS_K_MAX,
+ROSEGBS_COMM_LEN, ROSEGBS_COUNT_LIMIT, ROSEGBS_MAX_ORDER, ROSEGBS_S_MAX,
+ROSEGBS_FORMAT, ROSEGBS_ORIENTATION, ROSEGBS_MIXED_ORDER, ROSEGBS_SEED): the
+flag wins, then the variable, then the built-in default.  A variable is
+checked with the flag's type and choices, so an invalid value exits 2 like an
+invalid flag.  Identical inputs produce byte-identical output; JSON reports
+follow data/report.schema.json.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify found a
 theorem-violation (or catalog validation failed), 2 invalid input,
@@ -20,7 +23,8 @@ import json
 import os
 import sys
 import traceback
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
 from .classifier import (
     Case,
@@ -30,7 +34,9 @@ from .classifier import (
     classify,
     residually_p,
 )
-from .generators import Bounds, GeneratorSet, MixedOrder, np_omega_generators
+from .generators import (
+    Bounds, GeneratorSet, MixedOrder, np_omega_generators, serialize_generators,
+)
 from .numtheory import is_prime
 from .pcgroup import CatalogError, load_catalog, random_confluence_check
 from .presentation import ParseError, PresentationError, RoseGbs, parse_presentation
@@ -42,103 +48,39 @@ MAX_PRIME = 2**31
 _ENV_PREFIX = "ROSEGBS_"
 
 
-def _env_default(name: str, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return raw if raw is not None else fallback
+@dataclass(frozen=True)
+class Setting:
+    """One option: set by its flag, else by ROSEGBS_<key>, else default
+    (None: required).  The variable goes through the flag's type and choices."""
+
+    flag: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: Optional[tuple[str, ...]] = None
+    help: Optional[str] = None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rosegbs",
-        description="p-power residual invariants of rose GBS groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p_: argparse.ArgumentParser, with_pres: bool = True):
-        if with_pres:
-            p_.add_argument(
-                "presentation",
-                help="inline presentation (starts with '<') or a file path",
-            )
-            p_env = _env_default("P", None)
-            p_.add_argument(
-                "-p", dest="p", type=int,
-                default=int(p_env) if p_env is not None else None,
-                required=p_env is None,
-                help="the prime p",
-            )
-        p_.add_argument(
-            "--format", choices=("text", "json"),
-            default=_env_default("FORMAT", "text"),
-        )
-        p_.add_argument(
-            "--seed", type=int, default=int(_env_default("SEED", DEFAULT_SEED)),
-            help="seed for randomized checks",
-        )
-
-    def add_orientation(p_: argparse.ArgumentParser):
-        p_.add_argument(
-            "--orientation", choices=("canonical", "intro-verbatim"),
-            default=_env_default("ORIENTATION", "canonical"),
-            help="which unit part of each loop is u (default: canonical,"
-            " the conjugated side)",
-        )
-        p_.add_argument(
-            "--mixed-order", choices=("conjugate", "verbatim"),
-            dest="mixed_order", default=_env_default("MIXED_ORDER", "conjugate"),
-            help="letter order of the inverse block in the mixed family",
-        )
-
-    def add_bounds(p_: argparse.ArgumentParser):
-        p_.add_argument(
-            "--bounds.k-max", dest="k_max", type=int,
-            default=int(_env_default("K_MAX", 2)),
-        )
-        p_.add_argument(
-            "--bounds.comm-len", dest="comm_len", type=int,
-            default=int(_env_default("COMM_LEN", 6)),
-        )
-        p_.add_argument(
-            "--bounds.count-limit", dest="count_limit", type=int,
-            default=int(_env_default("COUNT_LIMIT", 512)),
-        )
-
-    def add_budget(p_: argparse.ArgumentParser):
-        p_.add_argument(
-            "--budget.max-order", dest="max_order", type=int,
-            default=int(_env_default("MAX_ORDER", 16)),
-        )
-        p_.add_argument(
-            "--budget.s-max", dest="s_max", type=int,
-            default=int(_env_default("S_MAX", 6)),
-        )
-
-    p_classify = sub.add_parser("classify", help="per-loop invariants and case split")
-    add_common(p_classify)
-    add_orientation(p_classify)
-
-    p_gens = sub.add_parser("generators", help="generator family for (N_p)_omega")
-    add_common(p_gens)
-    add_orientation(p_gens)
-    add_bounds(p_gens)
-
-    p_res = sub.add_parser("residual", help="is the group residually finite-p?")
-    add_common(p_res)
-
-    p_verify = sub.add_parser("verify", help="oracle-check the computed answers")
-    add_common(p_verify)
-    add_orientation(p_verify)
-    add_bounds(p_verify)
-    add_budget(p_verify)
-
-    p_cat = sub.add_parser("catalog-validate", help="validate a catalog file")
-    p_cat.add_argument("path", help="catalog file")
-    p_cat.add_argument(
-        "--confluence-words", dest="confluence_words", type=int, default=1000,
-        help="random words per group for the normal-form uniqueness check",
-    )
-    add_common(p_cat, with_pres=False)
-    return parser
+# keyed by the ROSEGBS_ suffix; the argparse dest is the key in lower case
+SETTINGS = {
+    "P": Setting("-p", int, help="the prime p"),
+    "FORMAT": Setting("--format", default="text", choices=("text", "json")),
+    "SEED": Setting("--seed", int, DEFAULT_SEED, help="seed for randomized checks"),
+    "ORIENTATION": Setting(
+        "--orientation", default="canonical",
+        choices=("canonical", "intro-verbatim"),
+        help="which unit part of each loop is u (default: canonical,"
+        " the conjugated side)",
+    ),
+    "MIXED_ORDER": Setting(
+        "--mixed-order", default="conjugate", choices=("conjugate", "verbatim"),
+        help="letter order of the inverse block in the mixed family",
+    ),
+    "K_MAX": Setting("--bounds.k-max", int, 2),
+    "COMM_LEN": Setting("--bounds.comm-len", int, 6),
+    "COUNT_LIMIT": Setting("--bounds.count-limit", int, 512),
+    "MAX_ORDER": Setting("--budget.max-order", int, 16),
+    "S_MAX": Setting("--budget.s-max", int, 6),
+}
 
 
 def _load_presentation(arg: str) -> RoseGbs:
@@ -254,12 +196,8 @@ def _verify_json(rep: VerifyReport) -> dict:
         if rep.classification.case == Case.ONE
         else rep.classification.sigma_total,
         "classification": _classification_json(rep.classification),
-        "bounds": {
-            "k_max": rep.bounds.k_max,
-            "comm_word_len": rep.bounds.comm_word_len,
-            "count_limit": rep.bounds.count_limit,
-        },
-        "budget": {"max_order": rep.budget.max_order, "s_max": rep.budget.s_max},
+        "bounds": asdict(rep.bounds),
+        "budget": asdict(rep.budget),
         "orientation": rep.orientation.value,
         "mixed_order": rep.mixed_order.value,
         "generators": _generators_json(rep.generator_set),
@@ -331,13 +269,12 @@ def _verify_text(rep: VerifyReport) -> str:
 
 
 def _cmd_classify(args) -> int:
-    _check_prime(args.p)
-    pres = _load_presentation(args.presentation)
-    cls = classify(pres, args.p, Orientation(args.orientation))
+    """per-loop invariants and case split"""
+    cls = classify(args.pres, args.p, Orientation(args.orientation))
     report = {
         "command": "classify",
         "p": args.p,
-        "presentation": str(pres),
+        "presentation": str(args.pres),
         **_classification_json(cls),
     }
     _emit(report, _classify_text(cls), args.format)
@@ -345,27 +282,20 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_generators(args) -> int:
-    _check_prime(args.p)
-    pres = _load_presentation(args.presentation)
+    """generator family for (N_p)_omega"""
     bounds = Bounds(args.k_max, args.comm_len, args.count_limit)
     gs = np_omega_generators(
-        pres, args.p, bounds,
+        args.pres, args.p, bounds,
         Orientation(args.orientation), MixedOrder(args.mixed_order),
     )
-    from .generators import serialize_generators
-
     report = {
         "command": "generators",
         "p": args.p,
-        "presentation": str(pres),
+        "presentation": str(args.pres),
         "case": int(gs.case),
         "orientation": args.orientation,
         "mixed_order": args.mixed_order,
-        "bounds": {
-            "k_max": bounds.k_max,
-            "comm_word_len": bounds.comm_word_len,
-            "count_limit": bounds.count_limit,
-        },
+        "bounds": asdict(bounds),
         "generators": _generators_json(gs),
         "count": len(gs.entries),
         "truncated": gs.truncated,
@@ -376,13 +306,12 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    _check_prime(args.p)
-    pres = _load_presentation(args.presentation)
-    rep = residually_p(pres, args.p)
+    """is the group residually finite-p?"""
+    rep = residually_p(args.pres, args.p)
     report = {
         "command": "residual",
         "p": args.p,
-        "presentation": str(pres),
+        "presentation": str(args.pres),
         "decision": rep.decision,
         "reason": rep.reason.value,
         "witness": list(rep.witness) if rep.witness is not None else None,
@@ -394,10 +323,9 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_prime(args.p)
-    pres = _load_presentation(args.presentation)
+    """oracle-check the computed answers"""
     rep = verify_theorem(
-        pres,
+        args.pres,
         args.p,
         Bounds(args.k_max, args.comm_len, args.count_limit),
         Budget(args.max_order, args.s_max),
@@ -413,6 +341,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog_validate(args) -> int:
+    """validate a catalog file"""
     try:
         groups = load_catalog(args.path, validation_seed=args.seed)
         entries = []
@@ -454,18 +383,84 @@ def _cmd_catalog_validate(args) -> int:
     return 0
 
 
+_COMMON = ("P", "FORMAT", "SEED")
+_ORIENTATION = ("ORIENTATION", "MIXED_ORDER")
+_BOUNDS = ("K_MAX", "COMM_LEN", "COUNT_LIMIT")
+
+# name: (handler, settings); a command with "P" takes a presentation, which
+# main checks p for and parses into args.pres before the handler runs
+_COMMANDS = {
+    "classify": (_cmd_classify, _COMMON + _ORIENTATION),
+    "generators": (_cmd_generators, _COMMON + _ORIENTATION + _BOUNDS),
+    "residual": (_cmd_residual, _COMMON),
+    "verify": (_cmd_verify, _COMMON + _ORIENTATION + _BOUNDS + ("MAX_ORDER", "S_MAX")),
+    "catalog-validate": (_cmd_catalog_validate, ("FORMAT", "SEED")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """Every SETTINGS option defaults to None here; _fill_settings supplies
+    the environment and built-in values after parsing."""
+    parser = argparse.ArgumentParser(
+        prog="rosegbs",
+        description="p-power residual invariants of rose GBS groups",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=handler.__doc__)
+        if "P" in keys:
+            cmd.add_argument(
+                "presentation",
+                help="inline presentation (starts with '<') or a file path",
+            )
+        else:
+            cmd.add_argument("path", help="catalog file")
+            cmd.add_argument(
+                "--confluence-words", dest="confluence_words", type=int,
+                default=1000,
+                help="random words per group for the normal-form uniqueness check",
+            )
+        for key in keys:
+            s = SETTINGS[key]
+            cmd.add_argument(s.flag, dest=key.lower(), type=s.type,
+                             choices=s.choices, help=s.help)
+    return parser
+
+
+def _fill_settings(args: argparse.Namespace, keys: Sequence[str]) -> None:
+    """Set each option the command line left at None from ROSEGBS_<key>,
+    else from its default; a bad value raises ValueError (exit 2)."""
+    for key in keys:
+        dest, s, env = key.lower(), SETTINGS[key], _ENV_PREFIX + key
+        if getattr(args, dest) is not None:
+            continue
+        raw = os.environ.get(env)
+        if raw is None and s.default is None:
+            raise ValueError(f"{s.flag} is required (or set {env})")
+        try:
+            value = s.default if raw is None else s.type(raw)
+        except ValueError:
+            raise ValueError(f"{env}: not a valid {s.type.__name__}: {raw!r}") from None
+        if s.choices is not None and value not in s.choices:
+            raise ValueError(f"{env}: invalid choice {raw!r}, not in {s.choices}")
+        setattr(args, dest, value)
+
+
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "classify": _cmd_classify,
-        "generators": _cmd_generators,
-        "residual": _cmd_residual,
-        "verify": _cmd_verify,
-        "catalog-validate": _cmd_catalog_validate,
-    }
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
+    handler, keys = _COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
+        _fill_settings(args, keys)
+        if "P" in keys:
+            _check_prime(args.p)
+            args.pres = _load_presentation(args.presentation)
+        return handler(args)
     except CatalogError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -350,7 +350,6 @@ class QuotientOracle:
             g for g in in_budget if g.order ** (pres.r + 1) <= MAX_ASSIGNMENTS
         ]
         self.skipped_groups = [g.name for g in in_budget if g not in self.groups]
-        self._hom_cache: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
         self._catalog_homs: dict[str, CatalogHoms] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
@@ -361,19 +360,18 @@ class QuotientOracle:
                 self.holomorph_unavailable = f"s={s}: {exc}"
                 break
 
-    def homs_for(self, group: PcGroup) -> tuple[np.ndarray, list[np.ndarray]]:
-        if group.name not in self._hom_cache:
-            self._hom_cache[group.name] = hom_arrays(self.pres, group)
-        return self._hom_cache[group.name]
+    def homs_for(self, group: PcGroup) -> CatalogHoms:
+        if group.name not in self._catalog_homs:
+            self._catalog_homs[group.name] = CatalogHoms.of(
+                group, *hom_arrays(self.pres, group)
+            )
+        return self._catalog_homs[group.name]
 
     def targets(self) -> Iterator[CatalogHoms | HolomorphQuotient]:
         """Catalog hom sets in file order, then holomorphs by s; hom sets are
         enumerated (and cached) only when reached."""
         for group in self.groups:
-            homs = self.homs_for(group)
-            if group.name not in self._catalog_homs:
-                self._catalog_homs[group.name] = CatalogHoms.of(group, *homs)
-            yield self._catalog_homs[group.name]
+            yield self.homs_for(group)
         yield from self.holomorphs
 
     @property

@@ -12,6 +12,7 @@ from rosegbs.classifier import (
     exponent_data,
     loop_data,
     moldavanskii_r1,
+    _bs_normalize,
     residually_p,
 )
 from rosegbs.numtheory import is_p_power, p_valuation
@@ -155,6 +156,29 @@ def test_residually_p_r1_sweep_against_oracle():
                     continue
                 got = residually_p(pres((n, m)), p).decision
                 assert got == corollary_bs_oracle(n, m, p), (n, m, p)
+
+
+def residually_p_r1_reference(n: int, m: int, p: int):
+    """The r = 1 rule applied directly to the normal form 0 < n <= |m|,
+    without _loop_type: (decision, reason, witness, obstruction_kind)."""
+    n, m = _bs_normalize(n, m)
+    if n == m and is_p_power(n, p):
+        return True, Reason.ALL_LOOPS_EQUAL_P_POWER, None, None
+    if p == 2 and m == -n and is_p_power(n, 2):
+        return True, Reason.ALL_LOOPS_NEG_TWO_POWER, None, None
+    if n == 1 and (m - 1) % p == 0:
+        return True, Reason.BS_CASE_RULE, None, None
+    return False, Reason.OBSTRUCTION, (1,), "single"
+
+
+def test_residually_p_r1_matches_reference():
+    exps = [e for e in range(-64, 65) if e]
+    for p in (2, 3, 5, 7):
+        for n in exps:
+            for m in exps:
+                rep = residually_p(pres((n, m)), p)
+                got = (rep.decision, rep.reason, rep.witness, rep.obstruction_kind)
+                assert got == residually_p_r1_reference(n, m, p), (n, m, p)
 
 
 def test_residually_p_true_implies_case2():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,12 +9,14 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from rosegbs import cli
 from rosegbs.cli import main
 
 PRES1 = "<a,t1|t1 a^2 t1^-1 = a^12>"
 PRES_CASE2 = "<a,t1|t1 a^3 t1^-1 = a^1>"
 PRES_R2 = "<a,t1,t2|t1 a^2 t1^-1 = a^2 ; t2 a^4 t2^-1 = a^4>"
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +217,69 @@ def test_env_var_override(capsys, monkeypatch):
     code, out = run(capsys, "classify", PRES1)
     assert code == 0
     assert json.loads(out)["p"] == 2
+
+
+def run_process(env, *argv):
+    """rosegbs as its own process, with env as the only ROSEGBS_ variables."""
+    full = {k: v for k, v in os.environ.items() if not k.startswith("ROSEGBS_")}
+    full.update(env, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rosegbs.cli", *argv],
+        env=full, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, monkeypatch, env, *argv):
+    for k in os.environ:
+        if k.startswith("ROSEGBS_"):
+            monkeypatch.delenv(k)
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# name: (environment, argv, exit code); exit 0 cases report "p": 2
+SETTINGS_CASES = {
+    "bad-int": ({"ROSEGBS_K_MAX": "abc"}, ["verify", "-p", "2", PRES1], 2),
+    "bad-choice": ({"ROSEGBS_FORMAT": "xml"}, ["classify", "-p", "2", PRES1], 2),
+    "missing-p": ({}, ["classify", PRES1], 2),
+    "flag-wins": (
+        {"ROSEGBS_P": "3"}, ["classify", "-p", "2", PRES1, "--format", "json"], 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("via", ["process", "main"])
+@pytest.mark.parametrize("name", sorted(SETTINGS_CASES))
+def test_settings_resolution(capsys, monkeypatch, name, via):
+    env, argv, want = SETTINGS_CASES[name]
+    if via == "process":
+        code, out, err = run_process(env, *argv)
+    else:
+        code, out, err = run_main(capsys, monkeypatch, env, *argv)
+    assert code == want
+    assert "Traceback" not in err
+    if want == 2:
+        assert err.startswith("error:") and out == ""
+    else:
+        assert json.loads(out)["p"] == 2
+
+
+def test_settings_read_on_every_call(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or real())
+    monkeypatch.setenv("ROSEGBS_FORMAT", "text")
+    code, out = run(capsys, "classify", "-p", "2", PRES1)
+    assert code == 0 and out.startswith("case 1: xi = 1")
+    monkeypatch.setenv("ROSEGBS_FORMAT", "json")
+    code, out = run(capsys, "classify", "-p", "2", PRES1)
+    assert code == 0 and json.loads(out)["xi"] == 1
+    assert len(built) == 1
 
 
 def test_catalog_validate(tmp_path, capsys, schema):
