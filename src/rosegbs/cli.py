@@ -342,6 +342,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_catalog_validate(args) -> int:
     """validate a catalog file"""
+    if args.confluence_words < 0:
+        raise ValueError(
+            f"--confluence-words must be >= 0, got {args.confluence_words}"
+        )
     try:
         groups = load_catalog(args.path, validation_seed=args.seed)
         entries = []
@@ -418,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--confluence-words", dest="confluence_words", type=int,
                 default=1000,
-                help="random words per group for the normal-form uniqueness check",
+                help="random words per group for the normal-form uniqueness"
+                " check (>= 0)",
             )
         for key in keys:
             s = SETTINGS[key]

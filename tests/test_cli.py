@@ -295,6 +295,32 @@ def test_catalog_validate(tmp_path, capsys, schema):
     assert [g["name"] for g in rep["groups"]] == ["C9", "He3"]
 
 
+def test_catalog_validate_trivial_group(tmp_path, capsys, schema):
+    path = tmp_path / "trivial.txt"
+    path.write_text("group T p=2 n=0\nend\n")
+    code, rep = run_json(capsys, "catalog-validate", str(path),
+                         "--confluence-words", "100")
+    assert code == 0
+    jsonschema.validate(rep, schema)
+    assert rep["groups"] == [{"name": "T", "p": 2, "order": 1, "status": "ok",
+                              "confluence_words": 100}]
+
+
+def test_catalog_validate_word_count(tmp_path, capsys, schema):
+    path = tmp_path / "cat.txt"
+    path.write_text("group C9 p=3 n=2\npow 1 = g2\nend\n")
+    code, rep = run_json(capsys, "catalog-validate", str(path),
+                         "--confluence-words", "0")
+    assert code == 0 and rep["groups"][0]["confluence_words"] == 0
+    code = main(["catalog-validate", str(path), "--confluence-words", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "--confluence-words" in captured.err
+    rep["groups"][0]["confluence_words"] = -5
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(rep, schema)
+
+
 def test_catalog_validate_rejects_bad(tmp_path, capsys, schema):
     path = tmp_path / "bad.txt"
     path.write_text("group bad p=3 n=2\ncomm 2 1 = g2\nend\n")

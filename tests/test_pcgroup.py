@@ -1,12 +1,16 @@
+import copy
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from rosegbs.pcgroup import (
     CatalogError,
+    MAX_ORDER,
     PcGroup,
     PcPresentation,
+    _confluence_draws,
     builtin_catalog,
     load_catalog_text,
     parse_catalog,
@@ -117,6 +121,88 @@ def test_confluence_checks_pass():
     for p in (2, 3, 5):
         for g in builtin_catalog(p):
             assert random_confluence_check(g, 200, seed=99) == 200
+            assert random_confluence_check(g, 0, seed=99) == 0
+
+
+def test_confluence_check_rejects_negative_count():
+    with pytest.raises(ValueError):
+        random_confluence_check(by_name(2)["D8"], -1, seed=99)
+
+
+def test_confluence_check_trivial_group():
+    (trivial,) = load_catalog_text("group T p=2 n=0\nend\n")
+    assert random_confluence_check(trivial, 50, seed=99) == 50
+
+
+def test_confluence_draws_distribution():
+    g = by_name(5)["He5"]
+    lengths, gens, exps, merges = _confluence_draws(g, 5000, seed=7)
+    assert set(lengths) == set(range(1, 11))
+    letters = np.arange(10) < lengths[:, None]
+    assert set(gens[letters]) == {1, 2, 3}
+    assert set(exps[letters]) == set(range(-10, 11)) - {0}
+    assert not gens[~letters].any() and not exps[~letters].any()
+    pairs_left = lengths[:, None] - 1 - np.arange(9)
+    assert (merges < np.maximum(pairs_left, 1)).all() and (merges >= 0).all()
+    assert set(merges[pairs_left == 9]) == set(range(9))
+    again = _confluence_draws(g, 5000, seed=7)
+    assert all(map(np.array_equal, again, (lengths, gens, exps, merges)))
+
+
+def first_mismatch_scalar(g, n_words, seed):
+    """Replay every drawn word one letter and one merge at a time: the left
+    fold by collect_code, the bracketing by mult.  The first word whose two
+    values differ, as a letter list, or None."""
+    lengths, gens, exps, merges = _confluence_draws(g, n_words, seed)
+    for w in range(n_words):
+        n = lengths[w]
+        letters = [(int(x), int(e)) for x, e in zip(gens[w, :n], exps[w, :n])]
+        tree = [g.power(g.generator_code(x), e) for x, e in letters]
+        for i in merges[w, : n - 1]:
+            x = tree.pop(i)
+            tree[i] = g.mult(x, tree[i])
+        if g.collect_code(letters) != tree[0]:
+            return letters
+    return None
+
+
+def corrupted(g, rows, cols, values):
+    """A copy of g whose table differs at (rows, cols); pow_table is kept."""
+    bad = copy.copy(g)
+    bad.table = g.table.copy()
+    bad.table[rows, cols] = values
+    return bad
+
+
+@pytest.mark.parametrize("p, name", [(2, "C4"), (2, "D8"), (2, "Q8"),
+                                     (3, "He3"), (5, "He5")])
+def test_confluence_check_matches_scalar_replay(p, name):
+    g = by_name(p)[name]
+    rng = random.Random(name)
+    outcomes = set()
+    for seed in range(12):
+        x, y = rng.randrange(1, g.order), rng.randrange(1, g.order)
+        bad = corrupted(g, x, y, (g.table[x, y] + rng.randrange(1, g.order)) % g.order)
+        letters = first_mismatch_scalar(bad, 30, seed)
+        if letters is None:
+            assert random_confluence_check(bad, 30, seed) == 30
+        else:
+            with pytest.raises(CatalogError, match="mismatch on") as info:
+                random_confluence_check(bad, 30, seed)
+            assert str(info.value).endswith(f"on {letters}")
+        outcomes.add(letters is None)
+    if name in ("D8", "Q8"):  # some corruptions escape 30 words, some do not
+        assert outcomes == {True, False}
+
+
+def test_confluence_check_detects_corrupted_row():
+    he5 = by_name(5)["He5"]
+    g1 = he5.generator_code(1)
+    bad = corrupted(he5, g1, slice(None), np.roll(he5.table[g1], 1))
+    for seed in range(5):
+        assert random_confluence_check(he5, 1000, seed) == 1000
+        with pytest.raises(CatalogError, match="group He5: normal form mismatch"):
+            random_confluence_check(bad, 1000, seed)
 
 
 def test_parse_catalog_errors():
@@ -140,6 +226,16 @@ def test_shape_validation():
         PcGroup(PcPresentation("bad", 4, 1))  # p not prime
     with pytest.raises(CatalogError):
         PcGroup(PcPresentation("bad", 2, 2, comm_words={(1, 2): ((2, 1),)}))
+
+
+def test_order_cap_refused_before_any_table(monkeypatch):
+    assert MAX_ORDER == 2**11
+    monkeypatch.setattr(PcGroup, "_build_table", None)  # calling it would fail
+    big = PcPresentation("E4096", 2, 12)
+    with pytest.raises(CatalogError, match="exceeds the supported maximum"):
+        big.validate_shape()
+    with pytest.raises(CatalogError, match="exceeds the supported maximum"):
+        PcGroup(big)
 
 
 def test_inconsistent_presentation_rejected():
