@@ -35,10 +35,11 @@ table is built.
 presentations (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 2005, ch. 8): random_confluence_check draws random words from a numpy
 Generator seeded by the seed and the group name, and evaluates every word
-twice, by a left fold and by a random bracketing, in one vectorised pass of
-table gathers.  A word has 1..10 letters g_i^e, i uniform on 1..n and e
-uniform over the nonzero integers in [-2p, 2p]; the bracketing merges one
-adjacent pair at a time, chosen uniformly.
+twice, by a left fold and by a random bracketing, with table gathers over
+chunks of 2^16 words, so its memory does not grow with the count.  A word
+has 1..10 letters g_i^e, i uniform on 1..n and e uniform over the nonzero
+integers in [-2p, 2p]; the bracketing merges one adjacent pair at a time,
+chosen uniformly.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -64,9 +65,10 @@ EXHAUSTIVE_ORDER_LIMIT = 128
 #: peak RSS (2 cores, numpy 2.4); order 2^12 would need four times both.
 MAX_ORDER = 2**11
 
-#: Cap on order**k, the size of one exhaustive sweep of k-tuples of elements:
-#: the hom sweep of the quotient oracle (k = r + 1) and the automorphism
-#: search (k = ngens).
+#: Cap on the element codes of one exhaustive sweep: the order**ngens images
+#: of the automorphism search, the order**(r+1) assignments of the reference
+#: hom sweep (quotients.hom_arrays), and r + 1 codes per orbit representative
+#: of a non-abelian catalog target.
 MAX_ASSIGNMENTS = 2**24
 
 
@@ -136,7 +138,6 @@ class PcGroup:
         self.inv = self._build_inverses()
         self.pow_table = self._build_powers()
         self._validate(validation_seed)
-        self._orbit_masks: dict[int, np.ndarray] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -356,40 +357,17 @@ class PcGroup:
             rows.append(perm[(perm[:, 1:] != 0).all(axis=1)].astype(dtype))
         return np.concatenate(rows)
 
-    def orbit_least_mask(self, k: int) -> np.ndarray:
-        """Over all order**k tuples of element codes (in lexicographic order,
-        the first coordinate most significant), whether the tuple is the
-        lexicographically least of its orbit under the diagonal action of
-        self.automorphisms.  Cached per k.
+    @cached_property
+    def stabiliser_chain(self) -> "StabiliserChain":
+        """Point stabilisers of self.automorphisms, grown as walks reach them."""
+        return StabiliserChain(self.automorphisms)
 
-        (x, rest) is least iff x is least in its orbit and rest is least under
-        the stabiliser of x: an automorphism moving x lower makes the tuple
-        lower, one moving x higher makes it higher, and one fixing x compares
-        on rest.  So the mask is built down a stabiliser chain.
-        """
-        if k not in self._orbit_masks:
-            auts = self.automorphisms
-            n = self.order
-            memo: dict[tuple[bytes, int], np.ndarray] = {}
-
-            def least(rows: np.ndarray, k: int) -> np.ndarray:
-                key = (rows.tobytes(), k)
-                if key not in memo:
-                    sub = auts[rows]
-                    first = sub.min(axis=0) == np.arange(n)
-                    if len(rows) == 1:
-                        memo[key] = np.ones(n**k, dtype=bool)
-                    elif k == 1:
-                        memo[key] = first
-                    else:
-                        blocks = np.zeros((n, n ** (k - 1)), dtype=bool)
-                        for x in np.flatnonzero(first):
-                            blocks[x] = least(rows[sub[:, x] == x], k - 1)
-                        memo[key] = blocks.reshape(-1)
-                return memo[key]
-
-            self._orbit_masks[k] = least(np.arange(len(auts)), k)
-        return self._orbit_masks[k]
+    @cached_property
+    def least_nontrivial_power(self) -> list[int]:
+        """Entry e (0 <= e < order) is the least code x with x^e != 1, or 0
+        when every x^e is 1."""
+        moved = self.pow_table != 0
+        return np.where(moved.any(axis=0), moved.argmax(axis=0), 0).tolist()
 
     # -- element operations ----------------------------------------------------
 
@@ -440,6 +418,50 @@ class PcGroup:
 
     def __repr__(self) -> str:
         return f"PcGroup({self.name}, order={self.order})"
+
+
+class StabiliserChain:
+    """Point stabilisers in a group A of automorphisms, named by small ids.
+
+    Id s stands for a subgroup S of A, kept as a set of rows of A.  least[s, x]
+    says whether code x is the least of its S-orbit, and
+    stabilisers(s, x) gives the id of Stab_S(x) = {alpha in S : alpha(x) = x}.
+    Id 0 is A itself.  Ids are made on first use, so the chain holds only the
+    stabilisers a walk has reached; a one-row (trivial) S is its own
+    stabiliser and has every code least.
+    """
+
+    def __init__(self, auts: np.ndarray):
+        self.auts = auts
+        self.least = np.zeros((1, auts.shape[1]), dtype=bool)
+        self._child = np.full((1, auts.shape[1]), -1, dtype=np.int32)
+        self._ids: dict[bytes, int] = {}
+        self._rows: list[np.ndarray] = []
+        self._intern(np.arange(len(auts)))
+
+    def _intern(self, rows: np.ndarray) -> int:
+        key = rows.tobytes()
+        if key not in self._ids:
+            sid = self._ids[key] = len(self._rows)
+            self._rows.append(rows)
+            if sid == len(self.least):  # double the capacity
+                self.least = np.vstack([self.least, np.zeros_like(self.least)])
+                self._child = np.vstack([self._child, np.full_like(self._child, -1)])
+            codes = np.arange(self.auts.shape[1])
+            self.least[sid] = self.auts[rows].min(axis=0) == codes
+        return self._ids[key]
+
+    def stabilisers(self, sids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Ids of Stab_S(x) for each pair (S, x) of sids and xs."""
+        out = self._child[sids, xs]
+        todo = out < 0
+        if todo.any():
+            for sid, x in set(zip(sids[todo].tolist(), xs[todo].tolist())):
+                rows = self._rows[sid]
+                child = self._intern(rows[self.auts[rows, x] == x])
+                self._child[sid, x] = child
+            out = self._child[sids, xs]
+        return out
 
 
 # --- catalog files -----------------------------------------------------------
@@ -538,65 +560,74 @@ def load_catalog(path: str, *, validation_seed: int = 1729) -> list[PcGroup]:
 #: Longest word drawn by random_confluence_check.
 _CONFLUENCE_MAX_LEN = 10
 
+#: Words drawn and checked at once by random_confluence_check, about 9 MB.
+_CONFLUENCE_CHUNK = 2**16
+
 
 def _confluence_draws(
     group: PcGroup, n_words: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The random words of random_confluence_check, keyed by (seed, group name).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The random words of random_confluence_check, keyed by (seed, group name),
+    in chunks of up to _CONFLUENCE_CHUNK words drawn from one Generator.
 
-    Returns (lengths, gens, exps, merges): word w has lengths[w] letters,
-    uniform on 1..10; letter k is g_(gens[w, k])^(exps[w, k]), the generator
-    uniform on g_1..g_n and the exponent uniform over the nonzero integers in
-    [-2p, 2p]; letters past the length are (0, 0), the identity.  Step s of
-    the bracketing replaces terms merges[w, s] and merges[w, s] + 1 of what is
-    left by their product, the pair uniform among the lengths[w] - s - 1
-    adjacent ones (0 once a single term is left).  Needs ngens >= 1.
+    Each chunk is (lengths, gens, exps, merges): word w has lengths[w]
+    letters, uniform on 1..10; letter k is g_(gens[w, k])^(exps[w, k]), the
+    generator uniform on g_1..g_n and the exponent uniform over the nonzero
+    integers in [-2p, 2p]; letters past the length are (0, 0), the identity.
+    Step s of the bracketing replaces terms merges[w, s] and merges[w, s] + 1
+    of what is left by their product, the pair uniform among the
+    lengths[w] - s - 1 adjacent ones (0 once a single term is left).  Needs
+    ngens >= 1.
     """
     rng = np.random.default_rng(random.Random(f"{seed}:{group.name}").getrandbits(128))
-    size = (n_words, _CONFLUENCE_MAX_LEN)
-    lengths = rng.integers(1, _CONFLUENCE_MAX_LEN + 1, size=n_words, dtype=np.int8)
-    padding = np.arange(_CONFLUENCE_MAX_LEN, dtype=np.int8) >= lengths[:, None]
-    gens = rng.integers(1, group.ngens + 1, size=size, dtype=np.int8)
-    exps = rng.integers(-2 * group.p, 2 * group.p, size=size, dtype=np.int16)
-    exps += exps >= 0  # -2p..-1, 1..2p
-    gens[padding] = exps[padding] = 0
-    pairs_left = lengths[:, None] - np.arange(1, _CONFLUENCE_MAX_LEN, dtype=np.int8)
-    merges = rng.integers(0, np.maximum(pairs_left, 1), dtype=np.int8)
-    return lengths, gens, exps, merges
+    for start in range(0, n_words, _CONFLUENCE_CHUNK):
+        count = min(_CONFLUENCE_CHUNK, n_words - start)
+        size = (count, _CONFLUENCE_MAX_LEN)
+        lengths = rng.integers(1, _CONFLUENCE_MAX_LEN + 1, size=count, dtype=np.int8)
+        padding = np.arange(_CONFLUENCE_MAX_LEN, dtype=np.int8) >= lengths[:, None]
+        gens = rng.integers(1, group.ngens + 1, size=size, dtype=np.int8)
+        exps = rng.integers(-2 * group.p, 2 * group.p, size=size, dtype=np.int16)
+        exps += exps >= 0  # -2p..-1, 1..2p
+        gens[padding] = exps[padding] = 0
+        pairs_left = lengths[:, None] - np.arange(1, _CONFLUENCE_MAX_LEN, dtype=np.int8)
+        merges = rng.integers(0, np.maximum(pairs_left, 1), dtype=np.int8)
+        del padding, pairs_left  # not held while the caller checks the chunk
+        yield lengths, gens, exps, merges
 
 
 def random_confluence_check(group: PcGroup, n_words: int, seed: int) -> int:
     """Normal-form uniqueness spot check: evaluate n_words random words (see
     _confluence_draws) both by a left fold and by a random association order;
-    any mismatch would expose a non-confluent table.  All words are evaluated
-    together, one column of letters or one bracketing step at a time, with
-    table gathers.  Returns the number of words checked; the trivial group
-    has only the empty word, so its check passes at once."""
+    any mismatch would expose a non-confluent table.  The words of a chunk
+    are evaluated together, one column of letters or one bracketing step at
+    a time, with table gathers, so memory does not grow with n_words.
+    Returns the number of words checked; the trivial group has only the empty
+    word, so its check passes at once."""
     if n_words < 0:
         raise ValueError(f"negative word count {n_words}")
     if group.ngens == 0:
         return n_words
-    lengths, gens, exps, merges = _confluence_draws(group, n_words, seed)
     t = group.table
     codes = np.array([0] + [group.generator_code(g) for g in range(1, group.ngens + 1)],
                      dtype=np.int32)
-    terms = group.pow_table[codes[gens], exps % group.order]
-    fold = terms[:, 0]
-    for k in range(1, _CONFLUENCE_MAX_LEN):
-        fold = t[fold, terms[:, k]]
-    rows = np.arange(n_words)
-    for step in range(_CONFLUENCE_MAX_LEN - 1):
-        i = merges[:, step]
-        merged = t[terms[rows, i], terms[rows, i + 1]]
-        cols = np.arange(terms.shape[1] - 1, dtype=np.int8)
-        terms = np.where(cols < i[:, None], terms[:, :-1], terms[:, 1:])
-        terms[rows, i] = merged
-    bad = np.flatnonzero(fold != terms[:, 0])
-    if bad.size:
-        w = bad[0]
-        n = lengths[w]
-        letters = [(int(g), int(e)) for g, e in zip(gens[w, :n], exps[w, :n])]
-        raise CatalogError(f"group {group.name}: normal form mismatch on {letters}")
+    for lengths, gens, exps, merges in _confluence_draws(group, n_words, seed):
+        terms = group.pow_table[codes[gens], exps % group.order]
+        fold = terms[:, 0]
+        for k in range(1, _CONFLUENCE_MAX_LEN):
+            fold = t[fold, terms[:, k]]
+        rows = np.arange(len(lengths))
+        for step in range(_CONFLUENCE_MAX_LEN - 1):
+            i = merges[:, step]
+            merged = t[terms[rows, i], terms[rows, i + 1]]
+            cols = np.arange(terms.shape[1] - 1, dtype=np.int8)
+            terms = np.where(cols < i[:, None], terms[:, :-1], terms[:, 1:])
+            terms[rows, i] = merged
+        bad = np.flatnonzero(fold != terms[:, 0])
+        if bad.size:
+            w = bad[0]
+            n = lengths[w]
+            letters = [(int(g), int(e)) for g, e in zip(gens[w, :n], exps[w, :n])]
+            raise CatalogError(f"group {group.name}: normal form mismatch on {letters}")
     return n_words
 
 

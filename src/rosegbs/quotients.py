@@ -1,46 +1,70 @@
 """The brute-force oracle: kernel membership in finite p-quotients.
 
 Two kinds of targets are available.  Catalog targets are the shipped
-power-commutator groups; for those, every assignment of images to
-(a, t_1..t_r) satisfying the loop relations is enumerated exhaustively (a
-homomorphism of the HNN extension is exactly such an assignment), and a word
-is evaluated under all of them at once by table gathers.  Holomorph
-targets realize the quotient Z/p^s twisted by the conjugation units c_i with
+power-commutator groups P; a homomorphism of the HNN extension G into P is
+exactly an assignment of images to (a, t_1..t_r) satisfying the loop
+relations, and loop i constrains only (a, t_i).  So with the tables
+
+    T_i(a) = {t in P : t a^(n_i) t^(-1) = a^(m_i)},
+
+Hom(G, P) is the disjoint union over a in P of T_1(a) x .. x T_r(a), and
+homs = sum over a of |T_1(a)| .. |T_r(a)|.  That set is never listed; each
+catalog target reports the first separating homomorphism in lexicographic
+order of (a, t_1, .., t_r) codes, exactly as a sweep over all of it would
+(hom_arrays is that sweep, kept as the reference).  Holomorph targets
+realize the quotient Z/p^s twisted by the conjugation units c_i with
 n_i c_i = m_i mod p^s, as pairs (k mod p^s, h) with h in the unit subgroup H
 generated by the c_i; they exist when every loop has equal valuations on both
 sides and H is a p-group, and contribute one canonical homomorphism each
 (a -> (1, 1), t_i -> (0, c_i)), evaluated in closed form on exact integers.
 
-Both kinds offer order, homs (how many homomorphisms they test) and
+Every target offers order, homs (how many homomorphisms it tests) and
 separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
 
-A catalog target counts every homomorphism in homs, but separate() reports
-the first separating one (in lexicographic order) while evaluating the word
-far fewer times, by one of two reductions that keep the witness exactly:
-
-* Non-abelian G: Aut(G)-orbit representatives.  For a homomorphism phi and
-  alpha in a subgroup A of Aut(G), alpha o phi is again a homomorphism and
-  phi(w) != 1 iff alpha(phi(w)) != 1, so the separating homomorphisms are a
-  union of A-orbits (A acting on the tuples (phi(a), phi(t_1), ..)
-  coordinate-wise).  The lexicographically first separating homomorphism is
-  then the least of its orbit, as any other member of the orbit separates
-  too and so cannot come earlier.  Scanning only the orbit-least
-  homomorphisms, in lexicographic order, therefore finds the same first hit.
-  This holds for every subgroup A (A = {id} is the full sweep), so nothing
-  depends on the catalog being complete; PcGroup.automorphisms is all of
-  Aut(G) within its sweep cap and {id} beyond it.
-* Abelian G: exponent sums.  There phi(w) = phi(a)^(e_0) phi(t_1)^(e_1) ..
-  phi(t_r)^(e_r), e_g the exponent sum of generator g in w, which is the
-  image of Word.abelianised.  A word with every exponent sum zero lies in
-  every abelian kernel and is not evaluated at all; any other word is
-  evaluated as its abelianised word, which has the same images and so the
-  same first separating homomorphism and word image.
+* Abelian P (AbelianHoms): closed form.  In an abelian P the loop reads
+  a^(n_i) = a^(m_i) and puts no condition on t_i, so Hom(G, P) = A x P^r
+  with A = {a : a^(n_i) = a^(m_i) for all i}, and
+  phi(w) = phi(a)^(e_0) phi(t_1)^(e_1) .. phi(t_r)^(e_r), e_g the exponent
+  sum of generator g in w (Word.abelianised).  Let j >= 1 be the last index
+  for which x -> x^(e_j) is not trivial on P, and x_j the least x with
+  x^(e_j) != 1.  The homomorphism with t_j = x_j and every other image 1
+  (code 0, the least code) separates, with image x_j^(e_j).  Every
+  lexicographically smaller one has a = t_1 = .. = t_(j-1) = 1 and
+  t_j < x_j, so t_j^(e_j) = 1, and t_i^(e_i) = 1 for every i > j by the
+  choice of j: it does not separate.  With no such j, phi(w) = phi(a)^(e_0),
+  and by the same argument the first separating homomorphism has the least
+  a in A with a^(e_0) != 1 and every t_i = 1, or there is none.  This is
+  O(r) table lookups per word (PcGroup.least_nontrivial_power).
+* Non-abelian P (CatalogHoms): Aut(P)-orbit representatives.  For a
+  homomorphism phi and alpha in a subgroup A of Aut(P), alpha o phi is again
+  a homomorphism and phi(w) != 1 iff alpha(phi(w)) != 1, so the separating
+  homomorphisms are a union of A-orbits (A acting on the tuples
+  x = (phi(a), phi(t_1), ..) coordinate-wise).  The lexicographically first
+  separating homomorphism is then the least of its orbit, as any other
+  member of the orbit separates too and so cannot come earlier.  Scanning
+  only the orbit-least homomorphisms, in lexicographic order, therefore
+  finds the same first hit.  This holds for every subgroup A (A = {id} is
+  the full sweep), so nothing depends on the catalog being complete;
+  PcGroup.automorphisms is all of Aut(P) within its sweep cap and {id}
+  beyond it.
+  The orbit-least homomorphisms are walked down a stabiliser chain (Holt,
+  Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4;
+  McKay, J. Algorithms 26, 1998).  Let S_0 = A and S_(i+1) the stabiliser of
+  x_i in S_i.  A tuple x is least in its A-orbit iff every x_i is least in
+  its S_i-orbit: if so, any alpha in A first moves x at some coordinate i,
+  where alpha lies in S_i and so moves x_i up, making alpha(x) > x; and if
+  some beta in S_i moved x_i down, beta(x) < x.  For i >= 1, T_i(x_0) is
+  S_i-invariant, since S_i fixes x_0 and an automorphism maps homomorphisms
+  to homomorphisms.  So keeping, level by level, the x_i in T_i(x_0) that
+  are least under S_i gives exactly the orbit-least homomorphisms, and
+  extending a lexicographically ordered frontier by increasing x_i keeps
+  them in lexicographic order.
 
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
 of membership, never proof.  Witness reporting is deterministic: targets are
 scanned in a fixed order (catalog by file order, then holomorphs by s) and
-assignments in lexicographic order.
+homomorphisms in lexicographic order.
 """
 
 from __future__ import annotations
@@ -91,12 +115,25 @@ class Budget:
             raise ValueError("budget values must be non-negative")
 
 
+def loop_tables(pres: RoseGbs, group: PcGroup) -> list[np.ndarray]:
+    """T_i as an order x order boolean table per loop: T_i[a, t] says whether
+    t a^(n_i) t^(-1) = a^(m_i), i.e. whether t may be the image of t_i once a
+    is the image of a."""
+    n, table, pw, inv = group.order, group.table, group.pow_table, group.inv
+    a, t = np.arange(n)[:, None], np.arange(n)[None, :]
+    return [
+        table[table[t, pw[a, loop.n % n]], inv[t]] == pw[a, loop.m % n]
+        for loop in pres.loops
+    ]
+
+
 def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarray]]:
-    """All satisfying assignments, as an a-image array plus one array per t_i.
+    """All satisfying assignments, as an a-image array plus one array per t_i:
+    the full sweep that the oracle's targets are tested against.
 
     Assignments come out in lexicographic order of (a, t_1, .., t_r) codes.
-    Loop i constrains only (a, t_i), so it is checked once per pair, on an
-    order x order table, and broadcast over the order**(r+1) grid.
+    Loop i constrains only (a, t_i), so its table T_i is broadcast over a
+    boolean grid of order**(r+1) entries.
     """
     n, r = group.order, pres.r
     if n ** (r + 1) > MAX_ASSIGNMENTS:
@@ -104,11 +141,8 @@ def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarr
             f"assignment sweep {n}^{r + 1} exceeds {MAX_ASSIGNMENTS};"
             " lower the catalog budget"
         )
-    table, pw, inv = group.table, group.pow_table, group.inv
-    a, t = np.arange(n)[:, None], np.arange(n)[None, :]
     mask = np.ones((n,) * (r + 1), dtype=bool)
-    for i, loop in enumerate(pres.loops, 1):
-        ok = table[table[t, pw[a, loop.n % n]], inv[t]] == pw[a, loop.m % n]
+    for i, ok in enumerate(loop_tables(pres, group), 1):
         mask &= ok.reshape((n,) + (1,) * (i - 1) + (n,) + (1,) * (r - i))
     code = np.flatnonzero(mask).astype(np.int32)
     imgs = []
@@ -130,29 +164,64 @@ def evaluate_word_bulk(
     return acc
 
 
+def _catalog_witness(g: PcGroup, a: int, ts: Sequence[int], image: int) -> dict:
+    return {
+        "kind": "catalog",
+        "target": g.name,
+        "order": g.order,
+        "image_a": g.element_str(a),
+        "image_t": [g.element_str(t) for t in ts],
+        "word_image": g.element_str(image),
+    }
+
+
+@dataclass(frozen=True)
+class AbelianHoms:
+    """Hom(G, P) = A x P^r for an abelian catalog group P, A = a_codes the
+    admissible images of a (see the module docstring)."""
+
+    group: PcGroup
+    r: int
+    a_codes: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.group.order
+
+    @property
+    def homs(self) -> int:
+        return len(self.a_codes) * self.group.order**self.r
+
+    def separate(self, w: Word) -> Optional[dict]:
+        """Witness for the first hom (in lexicographic order) under which w is
+        not the identity, or None, in closed form from w's exponent sums."""
+        g = self.group
+        ts = [0] * self.r
+        # the nonzero exponent sums, from t_r down to a
+        for gen, e in reversed(w.abelianised.letters):
+            e %= g.order
+            if gen:
+                x = g.least_nontrivial_power[e]
+                if x:
+                    ts[gen - 1] = x
+                    return _catalog_witness(g, 0, ts, g.power(x, e))
+                continue
+            moved = self.a_codes[g.pow_table[self.a_codes, e] != 0]
+            if len(moved):
+                return _catalog_witness(g, int(moved[0]), ts, g.power(int(moved[0]), e))
+        return None
+
+
 @dataclass(frozen=True)
 class CatalogHoms:
-    """The homomorphisms into one catalog group that separate() evaluates:
-    every hom for an abelian group, the Aut(G)-orbit representatives for a
-    non-abelian one (see the module docstring); homs counts them all."""
+    """The Aut(P)-orbit representatives of Hom(G, P) for a non-abelian catalog
+    group P, which separate() evaluates (see the module docstring); homs
+    counts every hom."""
 
     group: PcGroup
     a_img: np.ndarray
     t_imgs: Sequence[np.ndarray]
     homs: int
-
-    @classmethod
-    def of(cls, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]):
-        """From the hom_arrays of group, keeping the lexicographically least
-        hom of each orbit when the group is non-abelian."""
-        homs = len(a_img)
-        if not group.is_abelian:
-            code = a_img
-            for t in t_imgs:
-                code = code * group.order + t
-            keep = group.orbit_least_mask(1 + len(t_imgs))[code]
-            a_img, t_imgs = a_img[keep], [t[keep] for t in t_imgs]
-        return cls(group, a_img, t_imgs, homs)
 
     @property
     def order(self) -> int:
@@ -161,24 +230,70 @@ class CatalogHoms:
     def separate(self, w: Word) -> Optional[dict]:
         """Witness for the first hom (in lexicographic order) under which w is
         not the identity, or None."""
-        g = self.group
-        if g.is_abelian:
-            w = w.abelianised
-            if w.is_identity():
-                return None
-        images = evaluate_word_bulk(w, g, self.a_img, self.t_imgs)
+        images = evaluate_word_bulk(w, self.group, self.a_img, self.t_imgs)
         hits = np.nonzero(images)[0]
         if not len(hits):
             return None
         i = int(hits[0])
-        return {
-            "kind": "catalog",
-            "target": g.name,
-            "order": g.order,
-            "image_a": g.element_str(int(self.a_img[i])),
-            "image_t": [g.element_str(int(t[i])) for t in self.t_imgs],
-            "word_image": g.element_str(int(images[i])),
-        }
+        return _catalog_witness(self.group, int(self.a_img[i]),
+                                [int(t[i]) for t in self.t_imgs], int(images[i]))
+
+
+#: Booleans per block of candidate masks in orbit_homs.
+_BLOCK = 2**20
+
+
+def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
+    """The Aut(P)-orbit representatives of Hom(G, P), in lexicographic order,
+    or None when they would take more than MAX_ASSIGNMENTS codes (r + 1 per
+    representative).
+
+    The coordinates x_0 = a, x_k = t_k are added in turn.  Each prefix
+    (x_0..x_(k-1)) is kept, in lexicographic order, with the id of its
+    stabiliser S_k in group.stabiliser_chain, and grows by every x in
+    T_k(x_0) (any x for k = 0) that is least in its S_k-orbit, in increasing
+    order.  Prefixes are extended in blocks, and the budget is checked on
+    each block before the level is built.
+    """
+    n, r = group.order, pres.r
+    chain = group.stabiliser_chain
+    tables = loop_tables(pres, group)
+    homs = sum(math.prod(c) for c in zip(*(ok.sum(axis=1).tolist() for ok in tables)))
+    step = max(1, _BLOCK // n)
+    prefix: list[np.ndarray] = []
+    stab = np.zeros(1, dtype=np.int32)
+    for level in range(r + 1):
+        rows, xs, count = [], [], 0
+        for lo in range(0, len(stab), step):
+            mask = chain.least[stab[lo:lo + step]]
+            if level:
+                mask = mask & tables[level - 1][prefix[0][lo:lo + step]]
+            count += np.count_nonzero(mask)
+            if count * (r + 1) > MAX_ASSIGNMENTS:
+                return None
+            row, x = np.nonzero(mask)
+            rows.append(row + lo)
+            xs.append(x.astype(np.int32))
+        row = np.concatenate(rows)
+        prefix = [c[row] for c in prefix] + [np.concatenate(xs)]
+        if level < r:
+            stab = chain.stabilisers(stab[row], prefix[-1])
+    a_img, *t_imgs = prefix
+    return CatalogHoms(group, a_img, t_imgs, homs)
+
+
+def catalog_target(
+    pres: RoseGbs, group: PcGroup
+) -> Optional[AbelianHoms | CatalogHoms]:
+    """The target of one catalog group: closed form when it is abelian, else
+    its orbit representatives (None over the budget)."""
+    if not group.is_abelian:
+        return orbit_homs(pres, group)
+    n, pw = group.order, group.pow_table
+    ok = np.ones(n, dtype=bool)
+    for loop in pres.loops:
+        ok &= pw[:, loop.n % n] == pw[:, loop.m % n]
+    return AbelianHoms(group, pres.r, np.flatnonzero(ok))
 
 
 # --- holomorph quotients ------------------------------------------------------
@@ -318,8 +433,11 @@ class Verdict:
 
 
 class QuotientOracle:
-    """Budgeted, deterministic sweep over catalog homs and holomorphs; catalog
-    groups with order**(r+1) > MAX_ASSIGNMENTS are left out (skipped_groups).
+    """Budgeted, deterministic sweep over catalog targets and holomorphs.
+
+    A non-abelian catalog group whose orbit representatives would take more
+    than MAX_ASSIGNMENTS codes is left out (skipped_groups); an abelian one
+    never is.
 
     Holomorphs are built for s = 1, 2, .. and the first unavailable s ends
     the list, since then every larger s is unavailable too.  "not-applicable"
@@ -345,12 +463,8 @@ class QuotientOracle:
         self.budget = budget
         if catalog is None:
             catalog = builtin_catalog(p) if budget.max_order > 0 else ()
-        in_budget = [g for g in catalog if g.order <= budget.max_order]
-        self.groups = [
-            g for g in in_budget if g.order ** (pres.r + 1) <= MAX_ASSIGNMENTS
-        ]
-        self.skipped_groups = [g.name for g in in_budget if g not in self.groups]
-        self._catalog_homs: dict[str, CatalogHoms] = {}
+        self.groups = [g for g in catalog if g.order <= budget.max_order]
+        self._catalog_targets: dict[str, Optional[AbelianHoms | CatalogHoms]] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
         for s in range(1, budget.s_max + 1):
@@ -360,23 +474,31 @@ class QuotientOracle:
                 self.holomorph_unavailable = f"s={s}: {exc}"
                 break
 
-    def homs_for(self, group: PcGroup) -> CatalogHoms:
-        if group.name not in self._catalog_homs:
-            self._catalog_homs[group.name] = CatalogHoms.of(
-                group, *hom_arrays(self.pres, group)
-            )
-        return self._catalog_homs[group.name]
+    def homs_for(self, group: PcGroup) -> Optional[AbelianHoms | CatalogHoms]:
+        """The target of group, built and cached on first use; None if it is
+        left out."""
+        if group.name not in self._catalog_targets:
+            self._catalog_targets[group.name] = catalog_target(self.pres, group)
+        return self._catalog_targets[group.name]
 
-    def targets(self) -> Iterator[CatalogHoms | HolomorphQuotient]:
-        """Catalog hom sets in file order, then holomorphs by s; hom sets are
-        enumerated (and cached) only when reached."""
+    def targets(self) -> Iterator[AbelianHoms | CatalogHoms | HolomorphQuotient]:
+        """Catalog targets in file order, then holomorphs by s; catalog
+        targets are built (and cached) only when reached."""
         for group in self.groups:
-            yield self.homs_for(group)
+            target = self.homs_for(group)
+            if target is not None:
+                yield target
         yield from self.holomorphs
 
     @property
     def total_homs(self) -> int:
         return sum(t.homs for t in self.targets())
+
+    @property
+    def skipped_groups(self) -> list[str]:
+        """Names of the catalog groups left out; builds every catalog target
+        not built yet."""
+        return [g.name for g in self.groups if self.homs_for(g) is None]
 
     def verdict(self, w: Word) -> Verdict:
         if w.max_gen() > self.pres.r:
@@ -491,10 +613,12 @@ def verify_theorem(
     checks.extend(containment)
     violations.extend(c for c in containment if c.verdict.separated)
 
-    if oracle.skipped_groups:
+    skipped = oracle.skipped_groups
+    if skipped:
         inconclusive.append(
-            f"catalog groups {', '.join(oracle.skipped_groups)} skipped: order^"
-            f"{pres.r + 1} exceeds {MAX_ASSIGNMENTS}; lower --budget.max-order"
+            f"catalog groups {', '.join(skipped)} skipped: their orbit"
+            f" representatives exceed {MAX_ASSIGNMENTS} codes; lower"
+            " --budget.max-order"
         )
     if oracle.total_homs == 0:
         inconclusive.append("no quotients within budget; nothing was tested")
@@ -578,5 +702,5 @@ def verify_theorem(
         mixed_order_report=mixed_order_report,
         holomorph_s=tuple(h.s for h in oracle.holomorphs),
         holomorph_unavailable=oracle.holomorph_unavailable,
-        catalog_names=tuple(g.name for g in oracle.groups),
+        catalog_names=tuple(g.name for g in oracle.groups if g.name not in skipped),
     )

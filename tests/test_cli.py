@@ -135,14 +135,19 @@ def test_unexpected_failure_exits_4(capsys, monkeypatch, error):
 
 
 def test_verify_assignment_cap_is_inconclusive(capsys, monkeypatch, schema):
-    # order^2 > 100 leaves out every group of order 16; C2 still separates a
-    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", 100)
+    # 2 codes per orbit representative: a cap of 40 leaves out the non-abelian
+    # groups with more than 20 (D8xC2, C4:C4, V4:C4), never an abelian one;
+    # C2 still separates a
+    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", 40)
     code, rep = run_json(capsys, "verify", "-p", "2", PRES1)
     assert code == 3 and rep["status"] == "inconclusive"
     jsonschema.validate(rep, schema)
-    assert "C16" not in rep["catalog"] and "C8" in rep["catalog"]
+    skipped = ["D8xC2", "C4:C4", "V4:C4"]
+    assert not set(skipped) & set(rep["catalog"])
+    assert {"C2x4", "C16", "SD16", "D8*C4"} <= set(rep["catalog"])
+    assert len(rep["catalog"]) == 22 - len(skipped)
     [reason] = rep["inconclusive"]
-    assert "C16" in reason and "--budget.max-order" in reason
+    assert ", ".join(skipped) in reason and "--budget.max-order" in reason
     [sep] = [v for v in rep["verdicts"] if v["check"] == "separation"]
     assert sep["verdict"] == "separated"
     assert rep["witnesses"][0]["target"] == "C2"

@@ -16,6 +16,8 @@ from rosegbs.pcgroup import (
     parse_catalog,
     random_confluence_check,
 )
+from rosegbs.presentation import RoseGbs
+from rosegbs.quotients import hom_arrays, orbit_homs
 
 
 def by_name(p):
@@ -134,9 +136,14 @@ def test_confluence_check_trivial_group():
     assert random_confluence_check(trivial, 50, seed=99) == 50
 
 
+def draws(g, n_words, seed):
+    """All chunks of _confluence_draws joined, one row per word."""
+    return [np.concatenate(c) for c in zip(*_confluence_draws(g, n_words, seed))]
+
+
 def test_confluence_draws_distribution():
     g = by_name(5)["He5"]
-    lengths, gens, exps, merges = _confluence_draws(g, 5000, seed=7)
+    lengths, gens, exps, merges = draws(g, 5000, seed=7)
     assert set(lengths) == set(range(1, 11))
     letters = np.arange(10) < lengths[:, None]
     assert set(gens[letters]) == {1, 2, 3}
@@ -145,7 +152,7 @@ def test_confluence_draws_distribution():
     pairs_left = lengths[:, None] - 1 - np.arange(9)
     assert (merges < np.maximum(pairs_left, 1)).all() and (merges >= 0).all()
     assert set(merges[pairs_left == 9]) == set(range(9))
-    again = _confluence_draws(g, 5000, seed=7)
+    again = draws(g, 5000, seed=7)
     assert all(map(np.array_equal, again, (lengths, gens, exps, merges)))
 
 
@@ -153,7 +160,7 @@ def first_mismatch_scalar(g, n_words, seed):
     """Replay every drawn word one letter and one merge at a time: the left
     fold by collect_code, the bracketing by mult.  The first word whose two
     values differ, as a letter list, or None."""
-    lengths, gens, exps, merges = _confluence_draws(g, n_words, seed)
+    lengths, gens, exps, merges = draws(g, n_words, seed)
     for w in range(n_words):
         n = lengths[w]
         letters = [(int(x), int(e)) for x, e in zip(gens[w, :n], exps[w, :n])]
@@ -326,23 +333,36 @@ def test_automorphisms_identity_only_over_the_cap(monkeypatch):
     monkeypatch.setattr("rosegbs.pcgroup.MAX_ASSIGNMENTS", 8**3 - 1)
     (d8,) = load_catalog_text("group D8 p=2 n=3\npow 2 = g3\ncomm 2 1 = g3\nend\n")
     assert np.array_equal(d8.automorphisms, [np.arange(8)])
-    assert d8.orbit_least_mask(2).all()
+    # with A = {id} every orbit is a single hom, so every hom is walked
+    for loops in ([(3, 1)], [(2, 12), (1, 1)], [(16, 16)] * 3):
+        pres = RoseGbs.from_pairs(loops)
+        target = orbit_homs(pres, d8)
+        a_img, t_imgs = hom_arrays(pres, d8)
+        assert np.array_equal(target.a_img, a_img)
+        assert all(np.array_equal(x, y) for x, y in zip(target.t_imgs, t_imgs))
+        assert target.homs == len(a_img)
 
 
 def test_loading_builds_no_automorphism_table():
     from importlib import resources
 
+    lazy = ("automorphisms", "is_abelian", "stabiliser_chain", "least_nontrivial_power")
     for p in (2, 3, 5):
         text = resources.files("rosegbs.data").joinpath(f"catalog_p{p}.txt")
         for g in load_catalog_text(text.read_text()):
-            assert "automorphisms" not in vars(g) and "is_abelian" not in vars(g)
-            assert not g._orbit_masks
+            assert not any(name in vars(g) for name in lazy), g.name
 
 
-def test_orbit_least_mask_matches_brute_force():
-    for name in ("D8", "Q8"):
-        g = by_name(2)[name]
-        mask = g.orbit_least_mask(2)
-        for code, (x, y) in enumerate(itertools.product(range(g.order), repeat=2)):
-            orbit = {(int(a[x]), int(a[y])) for a in g.automorphisms}
-            assert mask[code] == ((x, y) == min(orbit))
+def test_confluence_check_memory_is_flat():
+    import tracemalloc
+
+    he5 = by_name(5)["He5"]
+    peaks = []
+    for n_words in (2**17, 10**6):
+        tracemalloc.start()
+        try:
+            assert random_confluence_check(he5, n_words, seed=3) == n_words
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks

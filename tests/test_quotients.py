@@ -12,6 +12,7 @@ from rosegbs.numtheory import inverse_mod
 from rosegbs.pcgroup import builtin_catalog
 from rosegbs.presentation import RoseGbs, Word, generator, parse_word, reduce
 from rosegbs.quotients import (
+    AbelianHoms,
     Budget,
     CatalogHoms,
     HolomorphUnavailable,
@@ -22,6 +23,7 @@ from rosegbs.quotients import (
     hom_arrays,
     holomorph_quotient,
     membership_verdict,
+    orbit_homs,
     verify_theorem,
 )
 
@@ -192,13 +194,16 @@ def test_targets_match_scalar_reference(case):
     for target in oracle.targets():
         witness = target.separate(w)
         witnesses.append(witness)
-        if isinstance(target, CatalogHoms):
+        if isinstance(target, (AbelianHoms, CatalogHoms)):
             g = target.group
             homs = ref_homs(pr, g)
             assert as_homs(*hom_arrays(pr, g)) == homs
             assert target.homs == len(homs)
-            evaluated = homs if g.is_abelian else ref_orbit_least(g, homs)
-            assert as_homs(target.a_img, target.t_imgs) == evaluated
+            if g.is_abelian:
+                assert isinstance(target, AbelianHoms)
+                assert target.a_codes.tolist() == sorted({a for a, _ in homs})
+            else:
+                assert as_homs(target.a_img, target.t_imgs) == ref_orbit_least(g, homs)
             first = next(
                 (
                     (a, ts, image)
@@ -267,12 +272,13 @@ def full_sweep_verdict(oracle, w):
 
 
 @st.composite
-def oracle_cases(draw):
-    """A presentation, a word (half the time with every exponent sum zero, so
-    that only non-abelian targets can separate it) and a catalog: the whole
-    catalog up to order 16 / 27, or its non-abelian groups shuffled."""
+def oracle_cases(draw, ranks=(1, 2)):
+    """A presentation of a rank in ranks, a word (half the time with every
+    exponent sum zero, so that only non-abelian targets can separate it) and
+    a catalog: the whole catalog up to order 16 / 27, or its non-abelian
+    groups shuffled."""
     p = draw(st.sampled_from([2, 3]))
-    r = draw(st.integers(1, 2))
+    r = draw(st.sampled_from(ranks))
     exponent = st.integers(-12, 12).filter(bool)
     loops = [(draw(exponent), draw(exponent)) for _ in range(r)]
     letters = draw(st.lists(
@@ -294,6 +300,80 @@ def test_reduced_oracle_matches_full_sweep(case):
     budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=3)
     oracle = QuotientOracle(pr, p, budget, groups)
     assert oracle.verdict(w) == full_sweep_verdict(oracle, w)
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_cases(ranks=(3,)))
+def test_reduced_oracle_matches_full_sweep_r3(case):
+    p, pr, w, groups = case
+    budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=3)
+    oracle = QuotientOracle(pr, p, budget, groups)
+    assert oracle.verdict(w) == full_sweep_verdict(oracle, w)
+
+
+# --- orbit representatives ------------------------------------------------------
+
+
+def test_orbit_homs_match_brute_force():
+    # under t a^16 t^-1 = a^16 every pair is a hom into a group of exponent 4
+    for name in ("D8", "Q8"):
+        g = by_name(2)[name]
+        target = orbit_homs(pres((16, 16)), g)
+        assert target.homs == g.order**2
+        least = [
+            (x, (y,)) for x, y in itertools.product(range(g.order), repeat=2)
+            if (x, y) == min((int(a[x]), int(a[y])) for a in g.automorphisms)
+        ]
+        assert as_homs(target.a_img, target.t_imgs) == least
+
+
+def burnside_orbits(g, k):
+    """Orbits of Aut(G) on k-tuples: the mean of fix(alpha)^k."""
+    fixed = (g.automorphisms == np.arange(g.order)).sum(axis=1).astype(object)
+    total = sum(fixed**k)
+    assert total % len(fixed) == 0
+    return total // len(fixed)
+
+
+def test_orbit_homs_count_burnside():
+    """Under loops (p^4, p^4) every tuple is a hom, so the representatives
+    are one per Aut(G)-orbit of (r+1)-tuples."""
+    counts = {}
+    for p in (2, 3, 5):
+        for g in builtin_catalog(p):
+            if g.is_abelian:
+                continue
+            for r in (2, 3):
+                target = orbit_homs(pres(*[(p**4, p**4)] * r), g)
+                assert target.homs == g.order ** (r + 1)
+                assert len(target.a_img) == burnside_orbits(g, r + 1), (g.name, r)
+                counts[g.name, r] = len(target.a_img)
+    assert counts["He5", 2] == 404 and counts["He5", 3] == 25_299
+    assert counts["M125", 2] == 5_395 and counts["M125", 3] == 523_225
+
+
+def test_orbit_homs_blocks_do_not_matter(monkeypatch):
+    g = by_name(3)["He3"]
+    pr = pres((3, 3), (2, 5), (9, 9))
+    whole = orbit_homs(pr, g)
+    monkeypatch.setattr("rosegbs.quotients._BLOCK", 2 * g.order)  # 2 rows a block
+    blocks = orbit_homs(pr, g)
+    assert whole.homs == blocks.homs and len(whole.a_img) > 100
+    assert np.array_equal(whole.a_img, blocks.a_img)
+    assert all(map(np.array_equal, whole.t_imgs, blocks.t_imgs))
+
+
+def test_orbit_homs_over_the_budget(monkeypatch):
+    g = by_name(2)["D8"]
+    codes = 2 * len(orbit_homs(pres((16, 16)), g).a_img)
+    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes)
+    assert orbit_homs(pres((16, 16)), g) is not None
+    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes - 1)
+    assert orbit_homs(pres((16, 16)), g) is None
+    oracle = QuotientOracle(pres((16, 16)), 2, Budget(max_order=8, s_max=0))
+    assert oracle.skipped_groups == ["D8"]
+    assert [t.group.name for t in oracle.targets()] == ["C2", "C4", "C2x2", "C8",
+                                                         "C4xC2", "C2x3", "Q8"]
 
 
 # --- holomorph quotients ----------------------------------------------------------
