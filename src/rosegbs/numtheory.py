@@ -203,21 +203,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def prime_power_split(q: int) -> tuple[int, int]:
-    """(p, s) with q == p**s and s as large as possible (p prime if q is a
-    prime power)."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for s in range(q.bit_length(), 1, -1):
-        # Newton's method for floor(q ** (1/s)) from above, on exact integers
-        x = 1 << -(-q.bit_length() // s)
-        while (y := ((s - 1) * x + q // x ** (s - 1)) // s) < x:
-            x = y
-        if x**s == q:
-            return x, s
-    return q, 1
-
-
 def is_p_power(x: int, p: int) -> bool:
     """True iff x == p**j for some j >= 0."""
     if x < 1:

@@ -14,11 +14,13 @@ psi(x) = g_L x g_L^(-1) on G_(L+1) directly (psi(g_k) = w_kL^(-1) g_k), and
 
   (g_L^a x) (g_L^b y) = g_L^(a+b) (psi^(-b)(x) y),
 
-with a p-overflow absorbed through the collected value of g_L^p.  The
-construction is a definition, not a proof: load-time validation checks the
-group axioms (exhaustive associativity up to order 128, sampled above) and
-re-checks every presented relation against the finished table, rejecting any
-inconsistent presentation.
+with a p-overflow absorbed through the collected value of g_L^p.  Each level
+is built on int32 arrays: psi is folded one tail generator at a time over
+the exponent digits of all codes, and the level table is one gather of the
+level below.  The construction is a definition, not a proof: load-time
+validation checks the group axioms (exhaustive associativity up to order
+128, sampled above) and re-checks every presented relation against the
+finished table, rejecting any inconsistent presentation.
 
 The catalog file format (line-oriented, '#' comments):
 
@@ -28,8 +30,9 @@ The catalog file format (line-oriented, '#' comments):
     end
 
 where <word> is a space-separated product like ``g3^2 g4`` (and ``1`` for
-the empty word).  Groups of order above MAX_ORDER are refused before any
-table is built.
+the empty word).  Groups of order above MAX_ORDER = 2^11 are refused before
+any table is built; one of order 2^11 loads in about 0.3 s with 70 MB peak
+RSS.
 
 ``catalog-validate`` adds a normal-form consistency test for pc
 presentations (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
@@ -60,9 +63,10 @@ PcWord = tuple[tuple[int, int], ...]  # ((generator 1-based, exponent), ...)
 EXHAUSTIVE_ORDER_LIMIT = 128
 
 #: Hard cap on the order of a loadable group, the largest order measured:
-#: the table build and pow_table are quadratic in the order, and an
-#: elementary abelian group of order 2^11 loads in about 2.2 s with 218 MB
-#: peak RSS (2 cores, numpy 2.4); order 2^12 would need four times both.
+#: table and pow_table are quadratic in the order (16 MB each at 2^11), and
+#: a group of order 2^11 loads in about 0.3 s with 70 MB peak RSS, of which
+#: 0.06 s build the table (elementary abelian or extraspecial; 2-core Xeon
+#: VM, numpy 2.4); order 2^12 would need about four times both.
 MAX_ORDER = 2**11
 
 #: Cap on the element codes of one exhaustive sweep: the order**ngens images
@@ -118,6 +122,18 @@ class PcPresentation:
                     )
 
 
+def _two_sided_inverses(table: np.ndarray) -> np.ndarray:
+    """Entry x is the least y with table[x, y] == table[y, x] == 0, or -1.
+
+    A table built by PcGroup._build_table is a Latin square (each level maps
+    rows and columns of the level below through permutations), so a row has
+    one zero and this least two-sided inverse is the unique inverse."""
+    zero = (table == 0) & (table.T == 0)
+    inv = zero.argmax(axis=1).astype(np.int32)
+    inv[~zero.any(axis=1)] = -1
+    return inv
+
+
 class PcGroup:
     """A validated finite p-group with a full multiplication table.
 
@@ -133,8 +149,7 @@ class PcGroup:
         self.order = pres.p**pres.ngens
         self.presentation = pres
         self.identity = 0
-        table = self._build_table(pres)
-        self.table = np.asarray(table, dtype=np.int32)
+        self.table = self._build_table(pres)
         self.inv = self._build_inverses()
         self.pow_table = self._build_powers()
         self._validate(validation_seed)
@@ -147,94 +162,74 @@ class PcGroup:
             raise ValueError(f"generator index {i} out of range")
         return self.p ** (self.ngens - i)
 
-    def _build_table(self, pres: PcPresentation) -> list[list[int]]:
+    def _build_table(self, pres: PcPresentation) -> np.ndarray:
         p, n = pres.p, pres.ngens
-        # tables[L] multiplies the tail subgroup <g_(L+1), .., g_n> (0-based L)
-        tables: list[Optional[list[list[int]]]] = [None] * (n + 1)
-        tables[n] = [[0]]
+        digit = np.arange(p, dtype=np.int32)
+        a_plus_b = digit[:, None] + digit
+        carry = (a_plus_b >= p)[:, None, :, None]
+        high = (a_plus_b % p)[:, None, :, None]
+        table = np.zeros((1, 1), dtype=np.int32)  # the trivial group <>
         for level in range(n - 1, -1, -1):
-            sub = tables[level + 1]
-            assert sub is not None
-            size1 = p ** (n - level - 1)
+            # sub multiplies the tail subgroup <g_(level+2), .., g_n>
+            sub, size1 = table, len(table)
+            sub_inv = _two_sided_inverses(sub)
 
-            def mult1(x: int, y: int) -> int:
-                return sub[x][y]
+            def inverse(x: int) -> int:
+                if sub_inv[x] < 0:
+                    raise CatalogError(
+                        f"group {pres.name}: no inverse at level {level + 1};"
+                        " inconsistent relations"
+                    )
+                return sub_inv[x]
 
-            def inv1(x: int) -> int:
-                for y in range(size1):
-                    if sub[x][y] == 0 and sub[y][x] == 0:
-                        return y
-                raise CatalogError(
-                    f"group {pres.name}: no inverse at level {level + 1};"
-                    " inconsistent relations"
-                )
-
-            def ev1(word: PcWord) -> int:
+            def evaluate(word: PcWord) -> int:
                 acc = 0
                 for g, e in word:
                     base = p ** (n - g)  # code of g_<g>, guaranteed > level
                     if e < 0:
-                        base, e = inv1(base), -e
+                        base, e = inverse(base), -e
                     for _ in range(e):
-                        acc = mult1(acc, base)
+                        acc = sub[acc, base]
                 return acc
 
-            # conjugation by g_(level+1) on the tail subgroup, generator-wise
-            psi_gen: dict[int, int] = {}
-            for k in range(level + 1, n):
-                c_word = pres.comm_words.get((k + 1, level + 1), ())
-                g_code = p ** (n - 1 - k)
-                psi_gen[k] = mult1(inv1(ev1(c_word)), g_code)
-            psi = [0] * size1
-            for x in range(size1):
-                img = 0
-                rest = x
-                for k in range(level + 1, n):
-                    e, rest = divmod(rest, p ** (n - 1 - k))
-                    for _ in range(e):
-                        img = mult1(img, psi_gen[k])
-                psi[x] = img
-            if sorted(psi) != list(range(size1)):
+            # psi(x) = g_(level+1) x g_(level+1)^(-1), x = prod_j g_j^(e_j), as
+            # the left fold of the images psi(g_j) = w_j^(-1) g_j over the
+            # digits e_j of all codes, one tail generator (most significant
+            # first) at a time
+            psi = np.zeros(1, dtype=np.int32)
+            for j in range(level + 2, n + 1):
+                c_word = pres.comm_words.get((j, level + 1), ())
+                image = sub[inverse(evaluate(c_word)), p ** (n - j)]
+                folds = [psi]
+                for _ in range(p - 1):
+                    folds.append(sub[folds[-1], image])
+                psi = np.stack(folds, axis=1).ravel()
+            phi = np.argsort(psi)
+            if not np.array_equal(psi[phi], np.arange(size1)):
                 raise CatalogError(
                     f"group {pres.name}: conjugation by g{level + 1} is not a"
                     " bijection; inconsistent relations"
                 )
-            phi = [0] * size1
-            for x, y in enumerate(psi):
-                phi[y] = x
-            phi_pows = [list(range(size1))]
+            phi_pows = [np.arange(size1)]
             for _ in range(p - 1):
-                phi_pows.append([phi[x] for x in phi_pows[-1]])
-            p_elt = ev1(pres.pow_words.get(level + 1, ()))
+                phi_pows.append(phi[phi_pows[-1]])
+            p_elt = evaluate(pres.pow_words.get(level + 1, ()))
 
-            size = p * size1
-            table = [[0] * size for _ in range(size)]
-            for u in range(size):
-                au, xu = divmod(u, size1)
-                for v in range(size):
-                    bv, yv = divmod(v, size1)
-                    w = sub[phi_pows[bv][xu]][yv]
-                    e = au + bv
-                    if e >= p:
-                        e -= p
-                        w = sub[p_elt][w]
-                    table[u][v] = e * size1 + w
-            tables[level] = table
-        result = tables[0]
-        assert result is not None
-        return result
+            # (g^a x)(g^b y) = g^(a+b) phi^b(x) y, with g^p = p_elt on overflow
+            w = sub[np.stack(phi_pows, axis=1)]  # w[x, b, y] = sub[phi^b(x), y]
+            table = np.where(carry, sub[p_elt][w], w)
+            table += high * size1
+            table = table.reshape(p * size1, p * size1)
+        return table
 
     def _build_inverses(self) -> np.ndarray:
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int32)
-        for x in range(n):
-            ys = np.nonzero(self.table[x] == 0)[0]
-            if len(ys) != 1 or self.table[ys[0], x] != 0:
-                raise CatalogError(
-                    f"group {self.name}: element {self.element_str(x)} lacks a"
-                    " unique two-sided inverse"
-                )
-            inv[x] = ys[0]
+        inv = _two_sided_inverses(self.table)
+        missing = np.flatnonzero(inv < 0)
+        if missing.size:
+            raise CatalogError(
+                f"group {self.name}: element {self.element_str(int(missing[0]))}"
+                " lacks a unique two-sided inverse"
+            )
         return inv
 
     def _build_powers(self) -> np.ndarray:
@@ -381,13 +376,6 @@ class PcGroup:
         """x^e for arbitrary integer e (reduced mod the group order)."""
         return int(self.pow_table[x, e % self.order])
 
-    def element_order(self, x: int) -> int:
-        acc, k = x, 1
-        while acc != 0:
-            acc = self.mult(acc, x)
-            k += 1
-        return k
-
     def element_vector(self, code: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.ngens):
@@ -403,10 +391,6 @@ class PcGroup:
             if e:
                 parts.append(f"g{i}" if e == 1 else f"g{i}^{e}")
         return " ".join(parts)
-
-    def collect(self, pc_word: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-        """Collect a word over g1..gn (1-based, any exponents) to its normal form."""
-        return self.element_vector(self.collect_code(pc_word))
 
     def collect_code(self, pc_word: Iterable[tuple[int, int]]) -> int:
         acc = 0

@@ -97,7 +97,6 @@ from .numtheory import (
     is_p_power,
     is_prime,
     multiplicative_order,
-    prime_power_split,
 )
 from .pcgroup import MAX_ASSIGNMENTS, PcGroup, builtin_catalog
 from .presentation import RoseGbs, Word, generator
@@ -352,15 +351,15 @@ class HolomorphQuotient:
         }
 
 
-def _unit_subgroup_order(units: Sequence[int], q: int) -> int:
-    """Order of the subgroup of (Z/q)^* generated by units, q a prime power.
+def _unit_subgroup_order(units: Sequence[int], p: int, s: int) -> int:
+    """Order of the subgroup of (Z/p^s)^* generated by units, p prime.
 
-    For odd q, (Z/q)^* is cyclic, so the order is the lcm of the units'
+    For odd p, (Z/p^s)^* is cyclic, so the order is the lcm of the units'
     orders; (Z/2^s)^* is not cyclic for s >= 3 and is enumerated instead.
     """
-    if q % 2:
-        p, s = prime_power_split(q)
+    if p % 2:
         return math.lcm(*(multiplicative_order(c, p, s) for c in units))
+    q = p**s
     seen = {1}
     frontier = [1]
     while frontier:
@@ -394,7 +393,7 @@ def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:
         # a unit residue in [1, p^(s - sigma)) when s > sigma, else 0 -> 1
         modulus = p ** max(s - L.sigma, 0)
         cs.append(L.m_hat * inverse_mod(L.n_hat, modulus) % modulus or 1)
-    h_order = _unit_subgroup_order(cs, q)
+    h_order = _unit_subgroup_order(cs, p, s)
     if not is_p_power(h_order, p):
         if all(not L.theta_finite for L in loops):
             raise RuntimeError(

@@ -24,6 +24,19 @@ def by_name(p):
     return {g.name: g for g in builtin_catalog(p)}
 
 
+def collect(g, pc_word):
+    """Normal form (exponent vector) of a word over g1..gn."""
+    return g.element_vector(g.collect_code(pc_word))
+
+
+def element_order(g, x):
+    acc, k = x, 1
+    while acc != 0:
+        acc = g.mult(acc, x)
+        k += 1
+    return k
+
+
 def test_builtin_catalog_counts():
     # 1 of order p, 2 of order p^2, 5 of order p^3 (+ 14 of order 16 for p=2)
     assert len(builtin_catalog(2)) == 22
@@ -35,11 +48,11 @@ def test_builtin_catalog_counts():
 
 def test_collect_identity_and_cyclic():
     c4 = by_name(2)["C4"]
-    assert c4.collect([]) == (0, 0)
+    assert collect(c4, []) == (0, 0)
     # in the cyclic group of order p^2, g1^p collects to g2
-    assert c4.collect([(1, 2)]) == (0, 1)
-    assert c4.collect([(1, 4)]) == (0, 0)
-    assert c4.element_order(c4.generator_code(1)) == 4
+    assert collect(c4, [(1, 2)]) == (0, 1)
+    assert collect(c4, [(1, 4)]) == (0, 0)
+    assert element_order(c4, c4.generator_code(1)) == 4
 
 
 def test_collect_dihedral_example():
@@ -89,7 +102,7 @@ def test_known_structure_facts():
     assert any(he3.mult(x, y) != he3.mult(y, x)
                for x in range(27) for y in range(27))
     m27 = by_name(3)["M27"]
-    assert max(m27.element_order(x) for x in range(27)) == 9
+    assert max(element_order(m27, x) for x in range(27)) == 9
 
 
 def test_inverses_two_sided():
@@ -252,6 +265,187 @@ def test_inconsistent_presentation_rejected():
         load_catalog_text(bad)
 
 
+def ref_build_table(pres):
+    """The nested-list builder PcGroup._build_table replaced, one entry at a
+    time: the reference the array build is compared against."""
+    p, n = pres.p, pres.ngens
+    tables = [None] * (n + 1)
+    tables[n] = [[0]]
+    for level in range(n - 1, -1, -1):
+        sub = tables[level + 1]
+        size1 = p ** (n - level - 1)
+
+        def mult1(x, y):
+            return sub[x][y]
+
+        def inv1(x):
+            for y in range(size1):
+                if sub[x][y] == 0 and sub[y][x] == 0:
+                    return y
+            raise CatalogError(
+                f"group {pres.name}: no inverse at level {level + 1};"
+                " inconsistent relations"
+            )
+
+        def ev1(word):
+            acc = 0
+            for g, e in word:
+                base = p ** (n - g)
+                if e < 0:
+                    base, e = inv1(base), -e
+                for _ in range(e):
+                    acc = mult1(acc, base)
+            return acc
+
+        psi_gen = {}
+        for k in range(level + 1, n):
+            c_word = pres.comm_words.get((k + 1, level + 1), ())
+            psi_gen[k] = mult1(inv1(ev1(c_word)), p ** (n - 1 - k))
+        psi = [0] * size1
+        for x in range(size1):
+            img, rest = 0, x
+            for k in range(level + 1, n):
+                e, rest = divmod(rest, p ** (n - 1 - k))
+                for _ in range(e):
+                    img = mult1(img, psi_gen[k])
+            psi[x] = img
+        if sorted(psi) != list(range(size1)):
+            raise CatalogError(
+                f"group {pres.name}: conjugation by g{level + 1} is not a"
+                " bijection; inconsistent relations"
+            )
+        phi = [0] * size1
+        for x, y in enumerate(psi):
+            phi[y] = x
+        phi_pows = [list(range(size1))]
+        for _ in range(p - 1):
+            phi_pows.append([phi[x] for x in phi_pows[-1]])
+        p_elt = ev1(pres.pow_words.get(level + 1, ()))
+        size = p * size1
+        table = [[0] * size for _ in range(size)]
+        for u in range(size):
+            au, xu = divmod(u, size1)
+            for v in range(size):
+                bv, yv = divmod(v, size1)
+                w = sub[phi_pows[bv][xu]][yv]
+                e = au + bv
+                if e >= p:
+                    e -= p
+                    w = sub[p_elt][w]
+                table[u][v] = e * size1 + w
+        tables[level] = table
+    return tables[0]
+
+
+class RefPcGroup(PcGroup):
+    """PcGroup with the reference table build and a per-row inverse search."""
+
+    def _build_table(self, pres):
+        return np.asarray(ref_build_table(pres), dtype=np.int32)
+
+    def _build_inverses(self):
+        inv = np.full(self.order, -1, dtype=np.int32)
+        for x in range(self.order):
+            ys = np.nonzero(self.table[x] == 0)[0]
+            if len(ys) != 1 or self.table[ys[0], x] != 0:
+                raise CatalogError(
+                    f"group {self.name}: element {self.element_str(x)} lacks a"
+                    " unique two-sided inverse"
+                )
+            inv[x] = ys[0]
+        return inv
+
+
+EXTRA_PRESENTATIONS = """
+group E256 p=2 n=8
+end
+group D8xC2^4 p=2 n=7
+pow 2 = g3
+comm 2 1 = g3
+end
+group 2^1+6 p=2 n=7
+comm 4 1 = g7
+comm 5 2 = g7
+comm 6 3 = g7
+end
+group He3' p=3 n=3
+pow 1 = g3^-1
+comm 2 1 = g3^-1
+end
+group G81 p=3 n=4
+pow 1 = g4^-1
+comm 2 1 = g3^-1
+comm 3 1 = g4
+end
+"""
+
+
+def test_array_build_matches_reference():
+    extra = [PcGroup(pres) for pres in parse_catalog(EXTRA_PRESENTATIONS)]
+    for g in all_groups() + extra:
+        table = g._build_table(g.presentation)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, ref_build_table(g.presentation)), g.name
+
+
+def load_outcome(cls, pres):
+    """(table, inv) of cls(pres), or the CatalogError message it raises."""
+    try:
+        g = cls(pres)
+    except CatalogError as err:
+        return str(err)
+    return g.table.tolist(), g.inv.tolist()
+
+
+REJECTIONS = ("is not a bijection", "no inverse at level",
+              "lacks a unique two-sided inverse", "associativity fails")
+
+
+def test_corrupted_presentations_match_reference():
+    # seeded random extra pow/comm words on the small shipped groups, plus one
+    # whose level-1 subgroup lacks an inverse the build needs (rare at random)
+    rng = random.Random(2026)
+    small = [g.presentation for g in all_groups() if 2 <= g.ngens and g.order <= 27]
+    corpus = parse_catalog(
+        "group M27 p=3 n=3\npow 1 = g3^2 g2^-1\npow 2 = g3\n"
+        "comm 2 1 = g3^2\ncomm 3 2 = g3^-2 g3\nend\n"
+    )
+    for _ in range(300):
+        pres = copy.deepcopy(rng.choice(small))
+        p, n = pres.p, pres.ngens
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(1, n - 1)
+            gens = range(i + 1, n + 1)
+            word = tuple((rng.choice(gens), rng.choice([-2, -1, 1, 2, p - 1]))
+                         for _ in range(rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                pres.pow_words[i] = word
+            else:
+                pres.comm_words[(rng.randint(i + 1, n), i)] = word
+        corpus.append(pres)
+    messages = []
+    for pres in corpus:
+        expected = load_outcome(RefPcGroup, pres)
+        assert load_outcome(PcGroup, pres) == expected, pres
+        if isinstance(expected, str):
+            messages.append(expected)
+    assert 0 < len(messages) < len(corpus)
+    assert {kind for kind in REJECTIONS for m in messages if kind in m} == set(REJECTIONS)
+
+
+def test_max_order_groups_load():
+    elementary = PcPresentation("E2048", 2, 11)
+    # extraspecial 2^(1+10): [y_i, x_i] = z for x_i = g_i, y_i = g_(i+5), z = g11
+    extraspecial = PcPresentation(
+        "2^1+10", 2, 11, comm_words={(i + 5, i): ((11, 1),) for i in range(1, 6)}
+    )
+    for pres in (elementary, extraspecial):
+        g = PcGroup(pres)
+        assert g.order == MAX_ORDER
+        assert np.array_equal(g.table[g.inv, np.arange(g.order)], np.zeros(g.order))
+    assert not g.is_abelian
+
+
 def test_empty_catalog_warns():
     with pytest.warns(UserWarning):
         assert load_catalog_text("# nothing here\n") == []
@@ -263,7 +457,7 @@ def test_load_catalog_roundtrip(tmp_path):
     path = tmp_path / "cat.txt"
     path.write_text("group C9 p=3 n=2\npow 1 = g2\nend\n")
     (g,) = load_catalog(str(path))
-    assert g.order == 9 and g.element_order(g.generator_code(1)) == 9
+    assert g.order == 9 and element_order(g, g.generator_code(1)) == 9
 
 
 def test_element_str():

@@ -436,8 +436,8 @@ def test_unit_subgroup_order_matches_bfs():
             rng.choice([c for c in range(1, min(q, 500)) if c % p])
             for _ in range(rng.randint(1, 3))
         ]
-        assert _unit_subgroup_order(units, q) == bfs_unit_subgroup_order(units, q)
-    assert _unit_subgroup_order([3], 16) == bfs_unit_subgroup_order([3], 16)
+        assert _unit_subgroup_order(units, p, s) == bfs_unit_subgroup_order(units, q)
+    assert _unit_subgroup_order([3], 2, 4) == bfs_unit_subgroup_order([3], 16)
 
 
 def test_holomorph_pair_arithmetic():
