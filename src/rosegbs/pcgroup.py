@@ -31,8 +31,8 @@ The catalog file format (line-oriented, '#' comments):
 
 where <word> is a space-separated product like ``g3^2 g4`` (and ``1`` for
 the empty word).  Groups of order above MAX_ORDER = 2^11 are refused before
-any table is built; one of order 2^11 loads in about 0.3 s with 70 MB peak
-RSS.
+any table is built; one of order 2^11 loads in about 0.15 s with 69 MB
+peak RSS, of which its power maps (PcGroup.powers) take 16 KB.
 
 ``catalog-validate`` adds a normal-form consistency test for pc
 presentations (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
@@ -63,10 +63,10 @@ PcWord = tuple[tuple[int, int], ...]  # ((generator 1-based, exponent), ...)
 EXHAUSTIVE_ORDER_LIMIT = 128
 
 #: Hard cap on the order of a loadable group, the largest order measured:
-#: table and pow_table are quadratic in the order (16 MB each at 2^11), and
-#: a group of order 2^11 loads in about 0.3 s with 70 MB peak RSS, of which
-#: 0.06 s build the table (elementary abelian or extraspecial; 2-core Xeon
-#: VM, numpy 2.4); order 2^12 would need about four times both.
+#: the table is quadratic in the order (16 MB at 2^11, and the power maps
+#: too for a cyclic group), and a group of order 2^11 loads in about 0.15 s
+#: (0.2 s cyclic) with 69-71 MB peak RSS (2-core Xeon VM, numpy 2.4); order
+#: 2^12 would need about four times both.
 MAX_ORDER = 2**11
 
 #: Cap on the element codes of one exhaustive sweep: the order**ngens images
@@ -151,7 +151,7 @@ class PcGroup:
         self.identity = 0
         self.table = self._build_table(pres)
         self.inv = self._build_inverses()
-        self.pow_table = self._build_powers()
+        self._powers = self._build_powers()
         self._validate(validation_seed)
 
     # -- construction --------------------------------------------------------
@@ -233,12 +233,17 @@ class PcGroup:
         return inv
 
     def _build_powers(self) -> np.ndarray:
+        """Row k maps each x to x^k = x^(k-1) x for k below E, the least divisor
+        of the order with every x^E = 1 (the exponent), else the order: row E
+        would repeat row 0, so x^e is row e mod E on any table."""
         n = self.order
-        pt = np.zeros((n, n), dtype=np.int32)
-        elems = np.arange(n, dtype=np.int32)
+        elems = np.arange(n)
+        pw = np.zeros((n, n), dtype=np.int32)  # rows past E are never written
         for k in range(1, n):
-            pt[:, k] = self.table[pt[:, k - 1], elems]
-        return pt
+            pw[k] = self.table[pw[k - 1], elems]
+            if n % k == 0 and not pw[k].any():
+                return pw[:k].copy()
+        return pw
 
     # -- validation -----------------------------------------------------------
 
@@ -318,7 +323,7 @@ class PcGroup:
         dtype = np.uint8 if n <= 256 else np.int16
         if k == 0 or n**k > MAX_ASSIGNMENTS:
             return np.arange(n, dtype=dtype)[None]
-        t, pw, inv, pres = self.table, self.pow_table, self.inv, self.presentation
+        t, inv, pres = self.table, self.inv, self.presentation
         # (j, i, w): [g_j, g_i] = w;  (j, None, w): g_j^p = w
         relations = [
             (j, i, pres.comm_words.get((j, i), ()))
@@ -332,20 +337,20 @@ class PcGroup:
             for j, i, word in relations:
                 x = imgs[j - 1]
                 if i is None:
-                    lhs = pw[x, p % n]
+                    lhs = self.powers(p)[x]
                 else:
                     y = imgs[i - 1]
                     lhs = t[t[t[x, y], inv[x]], inv[y]]
                 rhs = np.zeros(len(x), dtype=np.int32)
                 for g, e in word:
-                    rhs = t[rhs, pw[imgs[g - 1], e % n]]
+                    rhs = t[rhs, self.powers(e)[imgs[g - 1]]]
                 ok = lhs == rhs
                 imgs = [z[ok] for z in imgs]
             # perm[:, code] = prod_i x_i^(e_i), built one exponent digit at a time
             perm = np.zeros((len(imgs[0]), 1), dtype=np.int32)
             for x in imgs:
-                powers = pw[x][:, :p]
-                perm = t[perm[:, :, None], powers[:, None, :]].reshape(
+                x_pows = np.stack([self.powers(d)[x] for d in range(p)], axis=1)
+                perm = t[perm[:, :, None], x_pows[:, None, :]].reshape(
                     len(perm), perm.shape[1] * p
                 )
             # injective iff the kernel is trivial: only code 0 maps to 0
@@ -357,13 +362,6 @@ class PcGroup:
         """Point stabilisers of self.automorphisms, grown as walks reach them."""
         return StabiliserChain(self.automorphisms)
 
-    @cached_property
-    def least_nontrivial_power(self) -> list[int]:
-        """Entry e (0 <= e < order) is the least code x with x^e != 1, or 0
-        when every x^e is 1."""
-        moved = self.pow_table != 0
-        return np.where(moved.any(axis=0), moved.argmax(axis=0), 0).tolist()
-
     # -- element operations ----------------------------------------------------
 
     def mult(self, x: int, y: int) -> int:
@@ -372,9 +370,12 @@ class PcGroup:
     def inverse(self, x: int) -> int:
         return int(self.inv[x])
 
+    def powers(self, e: int) -> np.ndarray:
+        """x -> x^e on all codes, for any integer e."""
+        return self._powers[e % len(self._powers)]
+
     def power(self, x: int, e: int) -> int:
-        """x^e for arbitrary integer e (reduced mod the group order)."""
-        return int(self.pow_table[x, e % self.order])
+        return int(self.powers(e)[x])
 
     def element_vector(self, code: int) -> tuple[int, ...]:
         out = []
@@ -591,11 +592,12 @@ def random_confluence_check(group: PcGroup, n_words: int, seed: int) -> int:
         raise ValueError(f"negative word count {n_words}")
     if group.ngens == 0:
         return n_words
-    t = group.table
+    t, p = group.table, group.p
     codes = np.array([0] + [group.generator_code(g) for g in range(1, group.ngens + 1)],
                      dtype=np.int32)
+    pw = np.stack([group.powers(e) for e in range(-2 * p, 2 * p + 1)])  # x^e: row e+2p
     for lengths, gens, exps, merges in _confluence_draws(group, n_words, seed):
-        terms = group.pow_table[codes[gens], exps % group.order]
+        terms = pw[exps + 2 * p, codes[gens]]
         fold = terms[:, 0]
         for k in range(1, _CONFLUENCE_MAX_LEN):
             fold = t[fold, terms[:, k]]

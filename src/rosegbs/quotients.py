@@ -34,7 +34,8 @@ separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
   choice of j: it does not separate.  With no such j, phi(w) = phi(a)^(e_0),
   and by the same argument the first separating homomorphism has the least
   a in A with a^(e_0) != 1 and every t_i = 1, or there is none.  This is
-  O(r) table lookups per word (PcGroup.least_nontrivial_power).
+  one scan of P's power map x -> x^e (PcGroup.powers) per nonzero exponent
+  sum, at most r + 1 per word.
 * Non-abelian P (CatalogHoms): Aut(P)-orbit representatives.  For a
   homomorphism phi and alpha in a subgroup A of Aut(P), alpha o phi is again
   a homomorphism and phi(w) != 1 iff alpha(phi(w)) != 1, so the separating
@@ -69,6 +70,7 @@ homomorphisms in lexicographic order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Sequence
@@ -118,10 +120,9 @@ def loop_tables(pres: RoseGbs, group: PcGroup) -> list[np.ndarray]:
     """T_i as an order x order boolean table per loop: T_i[a, t] says whether
     t a^(n_i) t^(-1) = a^(m_i), i.e. whether t may be the image of t_i once a
     is the image of a."""
-    n, table, pw, inv = group.order, group.table, group.pow_table, group.inv
-    a, t = np.arange(n)[:, None], np.arange(n)[None, :]
+    table, inv, pw, t = group.table, group.inv, group.powers, np.arange(group.order)
     return [
-        table[table[t, pw[a, loop.n % n]], inv[t]] == pw[a, loop.m % n]
+        table[table[t, pw(loop.n)[:, None]], inv[t]] == pw(loop.m)[:, None]
         for loop in pres.loops
     ]
 
@@ -159,7 +160,7 @@ def evaluate_word_bulk(
     acc = np.zeros(len(a_img), dtype=np.int32)
     for gen, exp in w.letters:
         img = a_img if gen == 0 else t_imgs[gen - 1]
-        acc = group.table[acc, group.pow_table[img, exp % group.order]]
+        acc = group.table[acc, group.powers(exp)[img]]
     return acc
 
 
@@ -195,19 +196,15 @@ class AbelianHoms:
         """Witness for the first hom (in lexicographic order) under which w is
         not the identity, or None, in closed form from w's exponent sums."""
         g = self.group
-        ts = [0] * self.r
-        # the nonzero exponent sums, from t_r down to a
+        imgs = [0] * (self.r + 1)  # of a, t_1, .., t_r
+        # the nonzero exponent sums, from t_r down to a: the least x in the
+        # letter's domain (A for a, P for t_j) with x^e != 1
         for gen, e in reversed(w.abelianised.letters):
-            e %= g.order
-            if gen:
-                x = g.least_nontrivial_power[e]
-                if x:
-                    ts[gen - 1] = x
-                    return _catalog_witness(g, 0, ts, g.power(x, e))
-                continue
-            moved = self.a_codes[g.pow_table[self.a_codes, e] != 0]
+            domain = np.arange(g.order) if gen else self.a_codes
+            moved = domain[g.powers(e)[domain] != 0]
             if len(moved):
-                return _catalog_witness(g, int(moved[0]), ts, g.power(int(moved[0]), e))
+                imgs[gen] = x = int(moved[0])
+                return _catalog_witness(g, imgs[0], imgs[1:], g.power(x, e))
         return None
 
 
@@ -288,10 +285,9 @@ def catalog_target(
     its orbit representatives (None over the budget)."""
     if not group.is_abelian:
         return orbit_homs(pres, group)
-    n, pw = group.order, group.pow_table
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones(group.order, dtype=bool)
     for loop in pres.loops:
-        ok &= pw[:, loop.n % n] == pw[:, loop.m % n]
+        ok &= group.powers(loop.n) == group.powers(loop.m)
     return AbelianHoms(group, pres.r, np.flatnonzero(ok))
 
 
@@ -355,21 +351,31 @@ def _unit_subgroup_order(units: Sequence[int], p: int, s: int) -> int:
     """Order of the subgroup of (Z/p^s)^* generated by units, p prime.
 
     For odd p, (Z/p^s)^* is cyclic, so the order is the lcm of the units'
-    orders; (Z/2^s)^* is not cyclic for s >= 3 and is enumerated instead.
+    orders.  For p = 2 and s >= 3, (Z/2^s)^* = <-1> x <5> with orders 2 and
+    2^(s-2), so c = (-1)^e 5^b maps the units onto vectors (e, b) of
+    Z/2 x Z/2^(s-2).  Together with (2, 0) and (0, 2^(s-2)) they span a
+    lattice of index g in Z^2, the gcd of its 2 x 2 minors, and the subgroup
+    has order 2^(s-1) / g.  (Z/2)^* is trivial and (Z/4)^* = <-1>.
     """
     if p % 2:
         return math.lcm(*(multiplicative_order(c, p, s) for c in units))
-    q = p**s
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for c in units:
-            y = (x * c) % q
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen)
+    if s <= 2:
+        return 2 if s == 2 and any(c % 4 == 3 for c in units) else 1
+    q = 2**s
+    vectors = [(2, 0), (0, 2 ** (s - 2))]
+    for c in units:
+        e = c % 4 // 2
+        y = (-c if e else c) % q  # 1 mod 4, a power of 5
+        b, x = 0, 1  # y = 5^b = x mod 2^(i+2) before step i
+        for i in range(s - 2):
+            if (y - x) % 2 ** (i + 3):
+                b += 2**i
+                x = x * pow(5, 2**i, q) % q
+        vectors.append((e, b))
+    g = 0
+    for (e1, b1), (e2, b2) in itertools.combinations(vectors, 2):
+        g = math.gcd(g, e1 * b2 - e2 * b1)
+    return 2 ** (s - 1) // g
 
 
 def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:

@@ -187,7 +187,7 @@ def first_mismatch_scalar(g, n_words, seed):
 
 
 def corrupted(g, rows, cols, values):
-    """A copy of g whose table differs at (rows, cols); pow_table is kept."""
+    """A copy of g whose table differs at (rows, cols); _powers is kept."""
     bad = copy.copy(g)
     bad.table = g.table.copy()
     bad.table[rows, cols] = values
@@ -433,6 +433,57 @@ def test_corrupted_presentations_match_reference():
     assert {kind for kind in REJECTIONS for m in messages if kind in m} == set(REJECTIONS)
 
 
+def ref_pow_table(g):
+    """Column k maps every code x to x^k, for k = 0..order-1, by the left fold
+    x^k = x^(k-1) x: the order x order table PcGroup.powers replaced."""
+    n = g.order
+    pt = np.zeros((n, n), dtype=np.int32)
+    elems = np.arange(n)
+    for k in range(1, n):
+        pt[:, k] = g.table[pt[:, k - 1], elems]
+    return pt
+
+
+def assert_powers_match_reference(g):
+    ref = ref_pow_table(g)
+    for e in [*range(-2 * g.order, 2 * g.order + 1), 10**30, -(10**30)]:
+        assert np.array_equal(g.powers(e), ref[:, e % g.order]), (g.name, e)
+
+
+def test_powers_match_reference():
+    extra = [PcGroup(pres) for pres in parse_catalog(EXTRA_PRESENTATIONS)]
+    for g in all_groups() + extra:
+        assert_powers_match_reference(g)
+
+
+def test_powers_match_reference_on_corrupted_tables():
+    # single corrupted entries, some in the identity row or column, so that
+    # some tables stop early, at a divisor of the order, and some never do
+    rng = random.Random(9)
+    exponents = set()
+    for g in all_groups():
+        if g.order > 27:
+            continue
+        for _ in range(8):
+            x, y = rng.choice([0, rng.randrange(g.order)]), rng.randrange(g.order)
+            bad = corrupted(g, x, y, rng.randrange(g.order))
+            bad._powers = bad._build_powers()
+            assert g.order % len(bad._powers) == 0
+            assert_powers_match_reference(bad)
+            exponents.add(len(bad._powers) == g.order)
+    assert exponents == {True, False}
+
+
+def test_power_map_is_exponent_sized():
+    exponents = {(2, "C16"): 16, (2, "Q8"): 4, (3, "He3"): 3, (5, "He5"): 5,
+                 (5, "M125"): 25}
+    for (p, name), exponent in exponents.items():
+        assert len(by_name(p)[name]._powers) == exponent, name
+    e2048 = PcGroup(PcPresentation("E2048", 2, 11))
+    assert len(e2048._powers) == 2
+    assert e2048._powers.nbytes <= 16 * 1024
+
+
 def test_max_order_groups_load():
     elementary = PcPresentation("E2048", 2, 11)
     # extraspecial 2^(1+10): [y_i, x_i] = z for x_i = g_i, y_i = g_(i+5), z = g11
@@ -540,7 +591,7 @@ def test_automorphisms_identity_only_over_the_cap(monkeypatch):
 def test_loading_builds_no_automorphism_table():
     from importlib import resources
 
-    lazy = ("automorphisms", "is_abelian", "stabiliser_chain", "least_nontrivial_power")
+    lazy = ("automorphisms", "is_abelian", "stabiliser_chain")
     for p in (2, 3, 5):
         text = resources.files("rosegbs.data").joinpath(f"catalog_p{p}.txt")
         for g in load_catalog_text(text.read_text()):

@@ -437,7 +437,13 @@ def test_unit_subgroup_order_matches_bfs():
             for _ in range(rng.randint(1, 3))
         ]
         assert _unit_subgroup_order(units, p, s) == bfs_unit_subgroup_order(units, q)
+    for s in range(1, 13):  # (Z/2^s)^* = <-1> x <5>, not cyclic for s >= 3
+        q = 2**s
+        for _ in range(40):
+            units = [rng.randrange(1, q, 2) for _ in range(rng.randint(1, 3))]
+            assert _unit_subgroup_order(units, 2, s) == bfs_unit_subgroup_order(units, q)
     assert _unit_subgroup_order([3], 2, 4) == bfs_unit_subgroup_order([3], 16)
+    assert _unit_subgroup_order([3], 2, 64) == 2**62
 
 
 def test_holomorph_pair_arithmetic():
