@@ -4,11 +4,12 @@ Presentations are passed inline (anything starting with '<') or as a path to
 a file containing one.  Every option in SETTINGS can also be set through an
 environment variable with the ROSEGBS_ prefix (ROSEGBS_P, ROSEGBS_K_MAX,
 ROSEGBS_COMM_LEN, ROSEGBS_COUNT_LIMIT, ROSEGBS_MAX_ORDER, ROSEGBS_S_MAX,
-ROSEGBS_FORMAT, ROSEGBS_ORIENTATION, ROSEGBS_MIXED_ORDER, ROSEGBS_SEED): the
-flag wins, then the variable, then the built-in default.  A variable is
-checked with the flag's type and choices, so an invalid value exits 2 like an
-invalid flag.  Identical inputs produce byte-identical output; JSON reports
-follow data/report.schema.json.
+ROSEGBS_FORMAT, ROSEGBS_ORIENTATION, ROSEGBS_MIXED_ORDER, and ROSEGBS_SEED for
+catalog-validate, the only command with a randomized check): the flag wins,
+then the variable, then the built-in default.  A command reads only the
+variables of its own options.  A variable is checked with the flag's type and
+choices, so an invalid value exits 2 like an invalid flag.  Identical inputs
+produce byte-identical output; JSON reports follow data/report.schema.json.
 
 Exit codes: 0 success (verify: all checks pass), 1 verify found a
 theorem-violation (or catalog validation failed), 2 invalid input,
@@ -387,7 +388,7 @@ def _cmd_catalog_validate(args) -> int:
     return 0
 
 
-_COMMON = ("P", "FORMAT", "SEED")
+_COMMON = ("P", "FORMAT")
 _ORIENTATION = ("ORIENTATION", "MIXED_ORDER")
 _BOUNDS = ("K_MAX", "COMM_LEN", "COUNT_LIMIT")
 

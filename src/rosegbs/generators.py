@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .classifier import Case, Classification, Orientation, classify, exponent_data
 from .presentation import (
@@ -99,69 +99,47 @@ def _t_prefix(k: tuple[int, ...]) -> Word:
     return reduce([(i, ki) for i, ki in enumerate(k, 1) if ki])
 
 
-def family_gamma2(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
-    """[w, a^(p^S)] for bounded basic commutators w = [t_i^e, t_j^f], i < j,
-    and their conjugates under single stable letters, all of letter length
-    at most comm_word_len.  Empty for r = 1."""
-    cls.require_case(Case.TWO)
-    r = cls.r
-    if r == 1:
-        return []
+def _gamma2(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
+    r, max_len = cls.r, bounds.comm_word_len
     a_pow = generator(0, cls.p**cls.sigma_total)
     seen: set[Word] = set()
-    entries: list[GeneratorEntry] = []
-
-    def emit(w: Word, detail: str) -> None:
-        if w.is_identity() or w in seen:
-            return
-        seen.add(w)
-        g = commutator(w, a_pow)
-        if not g.is_identity():
-            entries.append(GeneratorEntry(g, "gamma2", detail))
-
-    half = bounds.comm_word_len // 2
+    half = max_len // 2
     for i, j in itertools.combinations(range(1, r + 1), 2):
         for e_abs in range(1, half):
             for f_abs in range(1, half - e_abs + 1):
                 for e, f in itertools.product((e_abs, -e_abs), (f_abs, -f_abs)):
                     w = commutator(generator(i, e), generator(j, f))
-                    if w.length() > bounds.comm_word_len:
+                    if w.length() > max_len:
                         continue
-                    emit(w, f"[t{i}^{e},t{j}^{f}]")
-                    # conjugates by single stable letters, still length-bounded
-                    for l in range(1, r + 1):
-                        for g_exp in range(-bounds.comm_word_len,
-                                           bounds.comm_word_len + 1):
-                            if g_exp == 0:
-                                continue
-                            cw = conjugate(w, generator(l, g_exp))
-                            if cw.length() <= bounds.comm_word_len:
-                                emit(cw, f"t{l}^{g_exp}.[t{i}^{e},t{j}^{f}]")
-    return entries
+                    name = f"[t{i}^{e},t{j}^{f}]"
+                    # w, then its conjugates by single stable letters
+                    conjugates = (
+                        (conjugate(w, generator(l, g_exp)), f"t{l}^{g_exp}.{name}")
+                        for l in range(1, r + 1)
+                        for g_exp in range(-max_len, max_len + 1) if g_exp
+                    )
+                    for cw, detail in itertools.chain([(w, name)], conjugates):
+                        if cw.length() > max_len or cw.is_identity() or cw in seen:
+                            continue
+                        seen.add(cw)
+                        g = commutator(cw, a_pow)
+                        if not g.is_identity():
+                            yield GeneratorEntry(g, "gamma2", detail)
 
 
-def family_conjugate_a(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
-    """[T a T^(-1), a^(p^S)] over all k vectors with |k_i| <= k_max."""
-    cls.require_case(Case.TWO)
+def _conjugate_a(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
     a = generator(0)
     a_pow = generator(0, cls.p**cls.sigma_total)
-    entries = []
     for k in _k_vectors(cls.r, bounds.k_max):
         w = commutator(conjugate(a, _t_prefix(k)), a_pow)
         if not w.is_identity():
-            entries.append(GeneratorEntry(w, "conj_a", f"k={list(k)}"))
-    return entries
+            yield GeneratorEntry(w, "conj_a", f"k={list(k)}")
 
 
-def family_mixed(
-    cls: Classification,
-    bounds: Bounds,
-    order: MixedOrder = MixedOrder.CONJUGATE,
-) -> list[GeneratorEntry]:
-    """T a^(p^S y/delta) T^(-1) a^(-p^S y_bar/delta) over bounded k vectors."""
-    cls.require_case(Case.TWO)
+def _mixed(
+    cls: Classification, bounds: Bounds, order: MixedOrder
+) -> Iterator[GeneratorEntry]:
     p_sigma = cls.p**cls.sigma_total
-    entries = []
     for k in _k_vectors(cls.r, bounds.k_max):
         data = exponent_data(cls.loops, k)
         prefix = _t_prefix(k)
@@ -176,8 +154,31 @@ def family_mixed(
             + generator(0, -p_sigma * data.y_bar // data.delta).letters
         )
         if not w.is_identity():
-            entries.append(GeneratorEntry(w, "mixed", f"k={list(k)}"))
-    return entries
+            yield GeneratorEntry(w, "mixed", f"k={list(k)}")
+
+
+def family_gamma2(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
+    """[w, a^(p^S)] for bounded basic commutators w = [t_i^e, t_j^f], i < j,
+    and their conjugates under single stable letters, all of letter length
+    at most comm_word_len.  Empty for r = 1."""
+    cls.require_case(Case.TWO)
+    return list(_gamma2(cls, bounds))
+
+
+def family_conjugate_a(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
+    """[T a T^(-1), a^(p^S)] over all k vectors with |k_i| <= k_max."""
+    cls.require_case(Case.TWO)
+    return list(_conjugate_a(cls, bounds))
+
+
+def family_mixed(
+    cls: Classification,
+    bounds: Bounds,
+    order: MixedOrder = MixedOrder.CONJUGATE,
+) -> list[GeneratorEntry]:
+    """T a^(p^S y/delta) T^(-1) a^(-p^S y_bar/delta) over bounded k vectors."""
+    cls.require_case(Case.TWO)
+    return list(_mixed(cls, bounds, order))
 
 
 def np_omega_generators(
@@ -199,11 +200,13 @@ def case2_generators(
     bounds: Bounds = Bounds(),
     mixed_order: MixedOrder = MixedOrder.CONJUGATE,
 ) -> GeneratorSet:
-    """Deduplicated union of the three case-2 families, capped at count_limit."""
-    raw = (
-        family_gamma2(cls, bounds)
-        + family_conjugate_a(cls, bounds)
-        + family_mixed(cls, bounds, mixed_order)
+    """Deduplicated union of the three case-2 families, capped at count_limit:
+    members are built one at a time and none past the cap."""
+    cls.require_case(Case.TWO)
+    raw = itertools.chain(
+        _gamma2(cls, bounds),
+        _conjugate_a(cls, bounds),
+        _mixed(cls, bounds, mixed_order),
     )
     seen: set[Word] = set()
     entries: list[GeneratorEntry] = []

@@ -22,6 +22,13 @@ validation checks the group axioms (exhaustive associativity up to order
 128, sampled above) and re-checks every presented relation against the
 finished table, rejecting any inconsistent presentation.
 
+A finished group evaluates words in one place, PcGroup.evaluate: the left
+fold acc = acc x^e of table gathers over the power maps, on codes or on
+broadcast arrays of codes.  The relation re-check and the automorphism search
+evaluate both sides of the same relation list, PcGroup._relations (power
+relations first, then commutator relations), and the quotient oracle
+evaluates its words and loop relations through it too.
+
 The catalog file format (line-oriented, '#' comments):
 
     group <name> p=<p> n=<ngens>
@@ -51,7 +58,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -148,7 +155,6 @@ class PcGroup:
         self.ngens = pres.ngens
         self.order = pres.p**pres.ngens
         self.presentation = pres
-        self.identity = 0
         self.table = self._build_table(pres)
         self.inv = self._build_inverses()
         self._powers = self._build_powers()
@@ -278,28 +284,24 @@ class PcGroup:
                     )
         self._check_relations()
 
+    def _relations(self) -> list[tuple[str, PcWord, PcWord]]:
+        """The presented relations as (name, lhs, rhs) pc words, in check
+        order: g_i^p = w_i for every i, then [g_j, g_i] = w_ji for j > i."""
+        pres, n = self.presentation, self.ngens
+        rels = [(f"power relation for g{i}", ((i, self.p),), pres.pow_words.get(i, ()))
+                for i in range(1, n + 1)]
+        rels += [
+            (f"commutator relation [g{j}, g{i}]",
+             ((j, 1), (i, 1), (j, -1), (i, -1)), pres.comm_words.get((j, i), ()))
+            for j in range(2, n + 1) for i in range(1, j)
+        ]
+        return rels
+
     def _check_relations(self) -> None:
-        p, ngens = self.p, self.ngens
-        for i in range(1, ngens + 1):
-            gi = self.generator_code(i)
-            lhs = self.power(gi, p)
-            rhs = self.collect_code(self.presentation.pow_words.get(i, ()))
-            if lhs != rhs:
-                raise CatalogError(
-                    f"group {self.name}: power relation for g{i} violated"
-                )
-        for j in range(2, ngens + 1):
-            for i in range(1, j):
-                gj, gi = self.generator_code(j), self.generator_code(i)
-                lhs = self.mult(
-                    self.mult(self.mult(gj, gi), int(self.inv[gj])), int(self.inv[gi])
-                )
-                rhs = self.collect_code(self.presentation.comm_words.get((j, i), ()))
-                if lhs != rhs:
-                    raise CatalogError(
-                        f"group {self.name}: commutator relation [g{j}, g{i}]"
-                        " violated"
-                    )
+        gens = [0] + [self.generator_code(i) for i in range(1, self.ngens + 1)]
+        for name, lhs, rhs in self._relations():
+            if self.evaluate(lhs, gens) != self.evaluate(rhs, gens):
+                raise CatalogError(f"group {self.name}: {name} violated")
 
     # -- symmetry (computed on first use, never at load) ------------------------
 
@@ -316,43 +318,31 @@ class PcGroup:
         Every assignment of images to g_1..g_n satisfying the power and
         commutator relations extends to an endomorphism, since a consistent
         pc presentation presents G; the injective ones are kept.  Candidates
-        are checked order**(ngens-1) at a time, one g_1-image per chunk, and
-        dropped at the first relation they fail.
+        are checked order**(ngens-1) at a time, one g_1-image per chunk,
+        against both sides of each relation of _relations() in turn, through
+        evaluate on the image arrays, and dropped at the first they fail.
         """
         n, k, p = self.order, self.ngens, self.p
         dtype = np.uint8 if n <= 256 else np.int16
         if k == 0 or n**k > MAX_ASSIGNMENTS:
             return np.arange(n, dtype=dtype)[None]
-        t, inv, pres = self.table, self.inv, self.presentation
-        # (j, i, w): [g_j, g_i] = w;  (j, None, w): g_j^p = w
-        relations = [
-            (j, i, pres.comm_words.get((j, i), ()))
-            for j in range(2, k + 1) for i in range(1, j)
-        ]
-        relations += [(j, None, pres.pow_words.get(j, ())) for j in range(1, k + 1)]
         rest = np.indices((n,) * (k - 1), dtype=np.int32).reshape(k - 1, n ** (k - 1))
+        relations = self._relations()
+        normal_form = tuple((i, 1) for i in range(1, k + 1))  # g_1 .. g_k
         rows = []
         for x1 in range(n):
             imgs = [np.full(rest.shape[1], x1, dtype=np.int32), *rest]
-            for j, i, word in relations:
-                x = imgs[j - 1]
-                if i is None:
-                    lhs = self.powers(p)[x]
-                else:
-                    y = imgs[i - 1]
-                    lhs = t[t[t[x, y], inv[x]], inv[y]]
-                rhs = np.zeros(len(x), dtype=np.int32)
-                for g, e in word:
-                    rhs = t[rhs, self.powers(e)[imgs[g - 1]]]
-                ok = lhs == rhs
-                imgs = [z[ok] for z in imgs]
-            # perm[:, code] = prod_i x_i^(e_i), built one exponent digit at a time
-            perm = np.zeros((len(imgs[0]), 1), dtype=np.int32)
-            for x in imgs:
-                x_pows = np.stack([self.powers(d)[x] for d in range(p)], axis=1)
-                perm = t[perm[:, :, None], x_pows[:, None, :]].reshape(
-                    len(perm), perm.shape[1] * p
-                )
+            for _, lhs, rhs in relations:
+                images = [0, *imgs]  # g_i -> imgs[i - 1]
+                ok = self.evaluate(lhs, images) == self.evaluate(rhs, images)
+                imgs = [x[ok] for x in imgs]
+            # perm[:, code] = prod_i x_i^(e_i), the powers of x_i on axis i
+            pows = [
+                np.stack([self.powers(d)[x] for d in range(p)], axis=1)
+                .reshape((len(x),) + (1,) * i + (p,) + (1,) * (k - 1 - i))
+                for i, x in enumerate(imgs)
+            ]
+            perm = self.evaluate(normal_form, [0, *pows]).reshape(len(imgs[0]), n)
             # injective iff the kernel is trivial: only code 0 maps to 0
             rows.append(perm[(perm[:, 1:] != 0).all(axis=1)].astype(dtype))
         return np.concatenate(rows)
@@ -364,18 +354,24 @@ class PcGroup:
 
     # -- element operations ----------------------------------------------------
 
-    def mult(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
-
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
     def powers(self, e: int) -> np.ndarray:
         """x -> x^e on all codes, for any integer e."""
         return self._powers[e % len(self._powers)]
 
     def power(self, x: int, e: int) -> int:
         return int(self.powers(e)[x])
+
+    def evaluate(self, letters: Iterable[tuple[int, int]], images: Sequence):
+        """Image of the word prod g^e over its (g, e) letters when each g maps
+        to images[g]: the left fold acc = acc images[g]^e from the identity,
+        whose first step is no gather (1 x = x, an axiom _validate checks).
+        An image is a code or an array of codes; arrays broadcast, and the
+        result is an int32 code or array (code 0 for the empty word)."""
+        acc = np.int32(0)
+        for k, (g, e) in enumerate(letters):
+            x = self.powers(e)[images[g]]
+            acc = self.table[acc, x] if k else x
+        return acc
 
     def element_vector(self, code: int) -> tuple[int, ...]:
         out = []
@@ -392,14 +388,6 @@ class PcGroup:
             if e:
                 parts.append(f"g{i}" if e == 1 else f"g{i}^{e}")
         return " ".join(parts)
-
-    def collect_code(self, pc_word: Iterable[tuple[int, int]]) -> int:
-        acc = 0
-        for g, e in pc_word:
-            if not 1 <= g <= self.ngens:
-                raise ValueError(f"generator g{g} out of range")
-            acc = self.mult(acc, self.power(self.generator_code(g), e))
-        return acc
 
     def __repr__(self) -> str:
         return f"PcGroup({self.name}, order={self.order})"

@@ -120,9 +120,10 @@ def loop_tables(pres: RoseGbs, group: PcGroup) -> list[np.ndarray]:
     """T_i as an order x order boolean table per loop: T_i[a, t] says whether
     t a^(n_i) t^(-1) = a^(m_i), i.e. whether t may be the image of t_i once a
     is the image of a."""
-    table, inv, pw, t = group.table, group.inv, group.powers, np.arange(group.order)
+    a, t = np.arange(group.order)[:, None], np.arange(group.order)
     return [
-        table[table[t, pw(loop.n)[:, None]], inv[t]] == pw(loop.m)[:, None]
+        group.evaluate(((1, 1), (0, loop.n), (1, -1)), [a, t])
+        == group.evaluate(((0, loop.m),), [a, t])
         for loop in pres.loops
     ]
 
@@ -156,12 +157,10 @@ def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarr
 def evaluate_word_bulk(
     w: Word, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Images of w under a whole array of homs at once."""
-    acc = np.zeros(len(a_img), dtype=np.int32)
-    for gen, exp in w.letters:
-        img = a_img if gen == 0 else t_imgs[gen - 1]
-        acc = group.table[acc, group.powers(exp)[img]]
-    return acc
+    """Images of w under a whole array of homs at once: PcGroup.evaluate over
+    the homs' images of a, t_1, .., t_r."""
+    images = group.evaluate(w.letters, [a_img, *t_imgs])
+    return images if w.letters else np.zeros(len(a_img), dtype=np.int32)
 
 
 def _catalog_witness(g: PcGroup, a: int, ts: Sequence[int], image: int) -> dict:

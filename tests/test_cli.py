@@ -273,6 +273,19 @@ def test_settings_resolution(capsys, monkeypatch, name, via):
         assert json.loads(out)["p"] == 2
 
 
+def test_seed_only_on_catalog_validate(tmp_path):
+    argv = ["verify", "-p", "2", PRES1, "--format", "json"]
+    code, out, err = run_process({}, *argv)
+    assert code == 0 and err == ""
+    assert run_process({"ROSEGBS_SEED": "abc"}, *argv) == (0, out, "")
+    code, out, err = run_process({}, *argv, "--seed", "5")
+    assert code == 2 and out == "" and "unrecognized arguments: --seed 5" in err
+    path = tmp_path / "cat.txt"
+    path.write_text("group C2 p=2 n=1\nend\n")
+    code, out, err = run_process({"ROSEGBS_SEED": "abc"}, "catalog-validate", str(path))
+    assert code == 2 and err.startswith("error: ROSEGBS_SEED")
+
+
 def test_settings_read_on_every_call(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "_parser", None)

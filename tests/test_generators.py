@@ -130,11 +130,42 @@ def test_count_limit_truncation():
     gs = np_omega_generators(pres((3, 1), (5, 1)), 2,
                              Bounds(k_max=2, comm_word_len=6, count_limit=5))
     assert gs.truncated and len(gs.entries) == 5
+    # the union is the first count_limit distinct words of the three families
+    cls = classify(pres((3, 1), (5, 1), (2, 6)), 2)
+    for limit in (1, 7, 40, 512):
+        bounds = Bounds(k_max=1, comm_word_len=4, count_limit=limit)
+        raw = (family_gamma2(cls, bounds) + family_conjugate_a(cls, bounds)
+               + family_mixed(cls, bounds))
+        unique = list({e.word: e for e in reversed(raw)}.values())[::-1]
+        gs = case2_generators(cls, bounds)
+        assert gs.entries == tuple(unique[:limit])
+        assert gs.truncated == (len(unique) > limit)
 
 
 def test_case2_on_case1_input_raises():
+    cls = classify(pres((2, 12)), 2)
     with pytest.raises(ValueError):
-        case2_generators(classify(pres((2, 12)), 2))
+        case2_generators(cls)
+    for family in (family_gamma2, family_conjugate_a, family_mixed):
+        with pytest.raises(ValueError):
+            family(cls, Bounds())
+
+
+def test_union_builds_no_member_past_the_cap(monkeypatch):
+    import rosegbs.generators as generators
+
+    built = []
+
+    class Counted(generators.GeneratorEntry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(generators, "GeneratorEntry", Counted)
+    # 8 loops t_i a^3 t_i^-1 = a^3: 5^8 members in each k-vector family
+    gs = case2_generators(classify(pres(*[(3, 3)] * 8), 2))
+    assert gs.truncated and len(gs.entries) == 512
+    assert len(built) <= len(gs.entries) + gs.dropped_trivial + 1
 
 
 def test_serialization_format():

@@ -1,9 +1,13 @@
 import copy
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosegbs.pcgroup import (
     CatalogError,
@@ -24,15 +28,36 @@ def by_name(p):
     return {g.name: g for g in builtin_catalog(p)}
 
 
+# --- scalar references -------------------------------------------------------
+# One product at a time, independent of PcGroup.evaluate: the helpers the
+# tests compare the library's word evaluation against.
+
+
+def mult(g, x, y):
+    return int(g.table[x, y])
+
+
+def inverse(g, x):
+    return int(g.inv[x])
+
+
+def collect_code(g, pc_word):
+    """Code of a word over g1..gn, by a mult/power fold."""
+    acc = 0
+    for i, e in pc_word:
+        acc = mult(g, acc, g.power(g.generator_code(i), e))
+    return acc
+
+
 def collect(g, pc_word):
     """Normal form (exponent vector) of a word over g1..gn."""
-    return g.element_vector(g.collect_code(pc_word))
+    return g.element_vector(collect_code(g, pc_word))
 
 
 def element_order(g, x):
     acc, k = x, 1
     while acc != 0:
-        acc = g.mult(acc, x)
+        acc = mult(g, acc, x)
         k += 1
     return k
 
@@ -59,14 +84,14 @@ def test_collect_dihedral_example():
     d8 = by_name(2)["D8"]
     s, r = d8.generator_code(1), d8.generator_code(2)
     # g1 g2 g1 g2 must match the table-verified product
-    word_val = d8.collect_code([(1, 1), (2, 1), (1, 1), (2, 1)])
-    table_val = d8.mult(d8.mult(d8.mult(s, r), s), r)
+    word_val = collect_code(d8, [(1, 1), (2, 1), (1, 1), (2, 1)])
+    table_val = mult(d8, mult(d8, mult(d8, s, r), s), r)
     assert word_val == table_val
     # (sr)^2 = 1 in a dihedral group
     assert word_val == 0
     # conjugation inverts the rotation: g1 g2 g1^-1 = g2^-1 = g2 g3
-    assert d8.collect_code([(1, 1), (2, 1), (1, -1)]) == d8.collect_code(
-        [(2, 1), (3, 1)]
+    assert collect_code(d8, [(1, 1), (2, 1), (1, -1)]) == collect_code(
+        d8, [(2, 1), (3, 1)]
     )
 
 
@@ -79,15 +104,15 @@ def test_collect_is_homomorphic():
         [],
     ]
     for x, y in itertools.product(words, repeat=2):
-        assert q8.collect_code(list(x) + list(y)) == q8.mult(
-            q8.collect_code(x), q8.collect_code(y)
+        assert collect_code(q8, list(x) + list(y)) == mult(
+            q8, collect_code(q8, x), collect_code(q8, y)
         )
 
 
 def test_known_structure_facts():
     groups = by_name(2)
     involutions = {
-        name: sum(1 for x in range(1, g.order) if g.mult(x, x) == 0)
+        name: sum(1 for x in range(1, g.order) if mult(g, x, x) == 0)
         for name, g in groups.items()
     }
     assert involutions["Q8"] == 1
@@ -99,7 +124,7 @@ def test_known_structure_facts():
     assert involutions["C2x4"] == 15
     he3 = by_name(3)["He3"]
     assert all(he3.power(x, 3) == 0 for x in range(27))  # exponent 3
-    assert any(he3.mult(x, y) != he3.mult(y, x)
+    assert any(mult(he3, x, y) != mult(he3, y, x)
                for x in range(27) for y in range(27))
     m27 = by_name(3)["M27"]
     assert max(element_order(m27, x) for x in range(27)) == 9
@@ -108,8 +133,8 @@ def test_known_structure_facts():
 def test_inverses_two_sided():
     for g in builtin_catalog(3):
         for x in range(g.order):
-            y = g.inverse(x)
-            assert g.mult(x, y) == 0 and g.mult(y, x) == 0
+            y = inverse(g, x)
+            assert mult(g, x, y) == 0 and mult(g, y, x) == 0
 
 
 def test_power_table():
@@ -118,9 +143,9 @@ def test_power_table():
     acc = 0
     for k in range(20):
         assert g.power(r, k) == acc
-        acc = g.mult(acc, r)
-    assert g.power(r, -1) == g.inverse(r)
-    assert g.power(r, -3) == g.inverse(g.power(r, 3))
+        acc = mult(g, acc, r)
+    assert g.power(r, -1) == inverse(g, r)
+    assert g.power(r, -3) == inverse(g, g.power(r, 3))
     assert g.power(r, 10**30) == g.power(r, 10**30 % g.order)
 
 
@@ -180,8 +205,8 @@ def first_mismatch_scalar(g, n_words, seed):
         tree = [g.power(g.generator_code(x), e) for x, e in letters]
         for i in merges[w, : n - 1]:
             x = tree.pop(i)
-            tree[i] = g.mult(x, tree[i])
-        if g.collect_code(letters) != tree[0]:
+            tree[i] = mult(g, x, tree[i])
+        if collect_code(g, letters) != tree[0]:
             return letters
     return None
 
@@ -338,7 +363,8 @@ def ref_build_table(pres):
 
 
 class RefPcGroup(PcGroup):
-    """PcGroup with the reference table build and a per-row inverse search."""
+    """PcGroup with the reference table build, a per-row inverse search and
+    a scalar relation check."""
 
     def _build_table(self, pres):
         return np.asarray(ref_build_table(pres), dtype=np.int32)
@@ -354,6 +380,22 @@ class RefPcGroup(PcGroup):
                 )
             inv[x] = ys[0]
         return inv
+
+    def _check_relations(self):
+        p, n, pres = self.p, self.ngens, self.presentation
+        for i in range(1, n + 1):
+            gi = self.generator_code(i)
+            if self.power(gi, p) != collect_code(self, pres.pow_words.get(i, ())):
+                raise CatalogError(f"group {self.name}: power relation for g{i} violated")
+        for j in range(2, n + 1):
+            for i in range(1, j):
+                gj, gi = self.generator_code(j), self.generator_code(i)
+                lhs = mult(self, mult(self, mult(self, gj, gi), inverse(self, gj)),
+                           inverse(self, gi))
+                if lhs != collect_code(self, pres.comm_words.get((j, i), ())):
+                    raise CatalogError(
+                        f"group {self.name}: commutator relation [g{j}, g{i}] violated"
+                    )
 
 
 EXTRA_PRESENTATIONS = """
@@ -380,9 +422,13 @@ end
 """
 
 
+@functools.cache
+def extra_groups():
+    return [PcGroup(pres) for pres in parse_catalog(EXTRA_PRESENTATIONS)]
+
+
 def test_array_build_matches_reference():
-    extra = [PcGroup(pres) for pres in parse_catalog(EXTRA_PRESENTATIONS)]
-    for g in all_groups() + extra:
+    for g in all_groups() + extra_groups():
         table = g._build_table(g.presentation)
         assert table.dtype == np.int32
         assert np.array_equal(table, ref_build_table(g.presentation)), g.name
@@ -395,6 +441,15 @@ def load_outcome(cls, pres):
     except CatalogError as err:
         return str(err)
     return g.table.tolist(), g.inv.tolist()
+
+
+def relation_outcome(cls, g):
+    """The CatalogError message of cls._check_relations on g, or None."""
+    try:
+        cls._check_relations(g)
+    except CatalogError as err:
+        return str(err)
+    return None
 
 
 REJECTIONS = ("is not a bijection", "no inverse at level",
@@ -431,6 +486,18 @@ def test_corrupted_presentations_match_reference():
             messages.append(expected)
     assert 0 < len(messages) < len(corpus)
     assert {kind for kind in REJECTIONS for m in messages if kind in m} == set(REJECTIONS)
+    # a table built from the shipped relations never violates them, so the
+    # relation check meets the corrupted words against the shipped tables
+    shipped = {(g.p, g.name): g for g in all_groups()}
+    violated = []
+    for pres in corpus:
+        stale = copy.copy(shipped[pres.p, pres.name])
+        stale.presentation = pres
+        expected = relation_outcome(RefPcGroup, stale)
+        assert relation_outcome(PcGroup, stale) == expected, pres
+        violated += [expected] if expected else []
+    assert any("power relation" in m for m in violated)
+    assert any("commutator relation" in m for m in violated)
 
 
 def ref_pow_table(g):
@@ -451,8 +518,7 @@ def assert_powers_match_reference(g):
 
 
 def test_powers_match_reference():
-    extra = [PcGroup(pres) for pres in parse_catalog(EXTRA_PRESENTATIONS)]
-    for g in all_groups() + extra:
+    for g in all_groups() + extra_groups():
         assert_powers_match_reference(g)
 
 
@@ -497,6 +563,83 @@ def test_max_order_groups_load():
     assert not g.is_abelian
 
 
+# --- word evaluation -------------------------------------------------------------
+
+
+def ref_power(g, x, e):
+    """x^e by square-and-multiply, with x^-1 from the inverse table."""
+    if e < 0:
+        x, e = inverse(g, x), -e
+    acc = 0
+    while e:
+        if e & 1:
+            acc = mult(g, acc, x)
+        x, e = mult(g, x, x), e >> 1
+    return acc
+
+
+def ref_fold(g, letters, images):
+    """Image of the word over (i, e) letters when i maps to images[i]."""
+    acc = 0
+    for i, e in letters:
+        acc = mult(g, acc, ref_power(g, images[i], e))
+    return acc
+
+
+@st.composite
+def words_and_images(draw):
+    """A shipped or extra group, up to 3 images (each a code or an array that
+    broadcasts with the others) and a word over them with exponents that are
+    negative, at least the group's exponent E, or +-10^30."""
+    g = draw(st.sampled_from(all_groups() + extra_groups()))
+    e_max = len(g._powers)
+    shapes = draw(st.lists(st.sampled_from([(), (2, 1), (1, 3), (2, 3)]),
+                           min_size=1, max_size=3))
+    code = st.integers(0, g.order - 1)
+    images = [
+        draw(code) if not shape else np.array(
+            draw(st.lists(code, min_size=math.prod(shape), max_size=math.prod(shape))),
+            dtype=np.int32).reshape(shape)
+        for shape in shapes
+    ]
+    exps = st.one_of(st.integers(-3 * e_max, 3 * e_max), st.integers(e_max, 10**6),
+                     st.sampled_from([10**30, -(10**30)]))
+    letters = draw(st.lists(st.tuples(st.integers(0, len(images) - 1), exps),
+                            max_size=8))
+    return g, letters, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_and_images())
+def test_evaluate_matches_scalar_fold(case):
+    g, letters, images = case
+    out = g.evaluate(letters, images)
+    assert out.dtype == np.int32
+    assert out.shape == np.broadcast_shapes(*(np.shape(images[i]) for i, _ in letters))
+    full = np.broadcast_shapes(*map(np.shape, images))
+    expected = [
+        ref_fold(g, letters, [int(np.broadcast_to(x, full)[ix]) for x in images])
+        for ix in np.ndindex(full)
+    ]
+    assert np.broadcast_to(out, full).ravel().tolist() == expected
+
+
+def test_relations_in_check_order():
+    for g in all_groups() + extra_groups():
+        n, pres = g.ngens, g.presentation
+        rels = g._relations()
+        assert len(rels) == n + n * (n - 1) // 2
+        powers = [(f"power relation for g{i}", ((i, g.p),), pres.pow_words.get(i, ()))
+                  for i in range(1, n + 1)]
+        comms = [(f"commutator relation [g{j}, g{i}]",
+                  ((j, 1), (i, 1), (j, -1), (i, -1)), pres.comm_words.get((j, i), ()))
+                 for j in range(2, n + 1) for i in range(1, j)]
+        assert rels == powers + comms, g.name
+        gens = [0] + [g.generator_code(i) for i in range(1, n + 1)]
+        for _, lhs, rhs in rels:
+            assert g.evaluate(lhs, gens) == g.evaluate(rhs, gens) == collect_code(g, rhs)
+
+
 def test_empty_catalog_warns():
     with pytest.warns(UserWarning):
         assert load_catalog_text("# nothing here\n") == []
@@ -514,7 +657,7 @@ def test_load_catalog_roundtrip(tmp_path):
 def test_element_str():
     g = by_name(2)["D8"]
     assert g.element_str(0) == "1"
-    code = g.collect_code([(1, 1), (3, 1)])
+    code = collect_code(g, [(1, 1), (3, 1)])
     assert g.element_str(code) == "g1 g3"
 
 

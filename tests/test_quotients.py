@@ -41,10 +41,14 @@ def by_name(p):
 # these plain folds, one element at a time, are what the tests compare against.
 
 
+def mult(g, x, y):
+    return int(g.table[x, y])
+
+
 def ref_satisfies(p, g, a, ts):
     """Do the images a, ts of (a, t_1..t_r) satisfy every loop relation?"""
     return all(
-        g.mult(g.mult(t, g.power(a, loop.n)), g.inverse(t)) == g.power(a, loop.m)
+        mult(g, mult(g, t, g.power(a, loop.n)), int(g.inv[t])) == g.power(a, loop.m)
         for loop, t in zip(p.loops, ts)
     )
 
@@ -57,9 +61,9 @@ def ref_homs(p, g):
 
 def ref_evaluate(w, g, a, ts):
     """Image of w under a -> a, t_i -> ts[i - 1], by a mult/power fold."""
-    acc = g.identity
+    acc = 0
     for gen, exp in w.letters:
-        acc = g.mult(acc, g.power(a if gen == 0 else ts[gen - 1], exp))
+        acc = mult(g, acc, g.power(a if gen == 0 else ts[gen - 1], exp))
     return acc
 
 
@@ -208,7 +212,7 @@ def test_targets_match_scalar_reference(case):
                 (
                     (a, ts, image)
                     for a, ts in homs
-                    if (image := ref_evaluate(w, g, a, ts)) != g.identity
+                    if (image := ref_evaluate(w, g, a, ts)) != 0
                 ),
                 None,
             )
