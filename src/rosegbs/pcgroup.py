@@ -354,9 +354,14 @@ class PcGroup:
 
     # -- element operations ----------------------------------------------------
 
+    @property
+    def exponent(self) -> int:
+        """The least E >= 1 with x^E = 1 for every x, a divisor of the order."""
+        return len(self._powers)
+
     def powers(self, e: int) -> np.ndarray:
         """x -> x^e on all codes, for any integer e."""
-        return self._powers[e % len(self._powers)]
+        return self._powers[e % self.exponent]
 
     def power(self, x: int, e: int) -> int:
         return int(self.powers(e)[x])

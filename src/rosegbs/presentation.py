@@ -109,6 +109,20 @@ class Word:
         return max((g for g, _ in self.letters), default=0)
 
     @cached_property
+    def _reduced_mod(self) -> dict[int, "Word"]:
+        return {}
+
+    def reduced_mod(self, modulus: int) -> "Word":
+        """This word with each exponent taken mod modulus, zero letters dropped
+        and the neighbours merged again (reduce(.., modulus)): the same image
+        under any map into a group of exponent dividing modulus.  Cached on the
+        word, per modulus."""
+        cache = self._reduced_mod
+        if modulus not in cache:
+            cache[modulus] = reduce(self.letters, modulus)
+        return cache[modulus]
+
+    @cached_property
     def abelianised(self) -> "Word":
         """a^(e_0) t_1^(e_1) .. t_r^(e_r), e_g the exponent sum of generator
         g in this word: the same image under any map into an abelian group."""
@@ -124,19 +138,20 @@ class Word:
 IDENTITY = Word()
 
 
-def reduce(letters: Iterable[Letter]) -> Word:
-    """Freely reduce a letter sequence: merge equal neighbours, drop zeros."""
-    stack: list[list[int]] = []
+def reduce(letters: Iterable[Letter], modulus: int = 0) -> Word:
+    """Freely reduce a letter sequence: merge equal neighbours, drop zeros.
+
+    With a modulus, every merged exponent is taken mod modulus first, so a
+    letter that vanishes lets its neighbours merge in the same pass."""
+    stack: list[Letter] = []
     for gen, exp in letters:
-        if exp == 0:
-            continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
-    return Word(tuple((g, e) for g, e in stack))
+            exp += stack.pop()[1]
+        if modulus:
+            exp %= modulus
+        if exp:
+            stack.append((gen, exp))
+    return Word(tuple(stack))
 
 
 def word(letters: Iterable[Letter]) -> Word:

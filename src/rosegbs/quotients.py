@@ -60,6 +60,23 @@ separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
   are least under S_i gives exactly the orbit-least homomorphisms, and
   extending a lexicographically ordered frontier by increasing x_i keeps
   them in lexicographic order.
+  Each word is evaluated reduced modulo the exponent E of P
+  (Word.reduced_mod, PcGroup.exponent): every exponent is taken mod E, zero
+  letters are dropped and the neighbours merged again.  For every hom phi
+  into P and every x, phi(x)^E = 1, so g^e and g^(e mod E) have the same
+  image under phi, and so do the word and its reduction.  The images array
+  over the representatives is therefore identical element by element, and
+  the first separating representative and its word_image do not change.  A
+  word that reduces to the empty word is killed by every hom into P and is
+  not evaluated at all; the paper's a^(p^sigma) blocks and repeated
+  stable-letter powers mostly vanish this way.
+
+QuotientOracle.verdict is memoised per word for the oracle's lifetime.  The
+targets, their order and their homs are fixed by the presentation, p, the
+budget and the catalog, so a verdict depends only on the oracle and the
+word: a repeated word (the alternate mixed families repeat containment
+words) gets an equal Verdict, with the same homs_tested and witness,
+without a second sweep.
 
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
@@ -224,7 +241,11 @@ class CatalogHoms:
 
     def separate(self, w: Word) -> Optional[dict]:
         """Witness for the first hom (in lexicographic order) under which w is
-        not the identity, or None."""
+        not the identity, or None; w is evaluated reduced mod the exponent
+        (see the module docstring)."""
+        w = w.reduced_mod(self.group.exponent)
+        if w.is_identity():
+            return None
         images = evaluate_word_bulk(w, self.group, self.a_img, self.t_imgs)
         hits = np.nonzero(images)[0]
         if not len(hits):
@@ -471,6 +492,7 @@ class QuotientOracle:
         self._catalog_targets: dict[str, Optional[AbelianHoms | CatalogHoms]] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
+        self._verdicts: dict[Word, Verdict] = {}
         for s in range(1, budget.s_max + 1):
             try:
                 self.holomorphs.append(holomorph_quotient(pres, p, s))
@@ -505,8 +527,16 @@ class QuotientOracle:
         return [g.name for g in self.groups if self.homs_for(g) is None]
 
     def verdict(self, w: Word) -> Verdict:
+        """The first target, in order, that separates w, with the homs tested
+        up to it; memoised per word (see the module docstring)."""
         if w.max_gen() > self.pres.r:
             raise ValueError("word uses a stable letter outside the presentation")
+        v = self._verdicts.get(w)
+        if v is None:
+            v = self._verdicts[w] = self._sweep(w)
+        return v
+
+    def _sweep(self, w: Word) -> Verdict:
         tested = 0
         max_order = 0
         for target in self.targets():

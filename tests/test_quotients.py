@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosegbs.classifier import Orientation
+from rosegbs.classifier import Case, Orientation
 from rosegbs.generators import Bounds
 from rosegbs.numtheory import inverse_mod
 from rosegbs.pcgroup import builtin_catalog
@@ -26,6 +27,7 @@ from rosegbs.quotients import (
     orbit_homs,
     verify_theorem,
 )
+from test_pcgroup import extra_groups
 
 
 def pres(*pairs):
@@ -241,27 +243,37 @@ def test_targets_match_scalar_reference(case):
 FULL_MAX_ORDER = {2: 16, 3: 27}
 
 
+def first_hit_witness(g, a_img, t_imgs, images):
+    """The catalog witness of the first hom whose entry in images is not the
+    identity, or None."""
+    hits = np.flatnonzero(images)
+    if not len(hits):
+        return None
+    i = hits[0]
+    return {
+        "kind": "catalog",
+        "target": g.name,
+        "order": g.order,
+        "image_a": g.element_str(int(a_img[i])),
+        "image_t": [g.element_str(int(t[i])) for t in t_imgs],
+        "word_image": g.element_str(int(images[i])),
+    }
+
+
 def full_sweep_verdict(oracle, w):
     """The verdict of a sweep over every hom_arrays row of every catalog
-    group, in target order, then every available holomorph: no orbit or
-    exponent-sum reduction, and no stop at the first unavailable s."""
+    group, in target order, then every available holomorph: no orbit,
+    exponent-sum or exponent reduction, and no stop at the first unavailable
+    s."""
     tested = max_order = 0
     for g in oracle.groups:
         a_img, t_imgs = hom_arrays(oracle.pres, g)
         tested += len(a_img)
         max_order = max(max_order, g.order)
         images = evaluate_word_bulk(w, g, a_img, t_imgs)
-        hits = np.flatnonzero(images)
-        if len(hits):
-            i = hits[0]
-            return Verdict(w, True, tested, max_order, {
-                "kind": "catalog",
-                "target": g.name,
-                "order": g.order,
-                "image_a": g.element_str(int(a_img[i])),
-                "image_t": [g.element_str(int(t[i])) for t in t_imgs],
-                "word_image": g.element_str(int(images[i])),
-            })
+        witness = first_hit_witness(g, a_img, t_imgs, images)
+        if witness is not None:
+            return Verdict(w, True, tested, max_order, witness)
     for s in range(1, oracle.budget.s_max + 1):
         try:
             hq = holomorph_quotient(oracle.pres, oracle.p, s)
@@ -313,6 +325,136 @@ def test_reduced_oracle_matches_full_sweep_r3(case):
     budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=3)
     oracle = QuotientOracle(pr, p, budget, groups)
     assert oracle.verdict(w) == full_sweep_verdict(oracle, w)
+
+
+# --- differential test: words reduced mod the exponent -------------------------------
+
+#: A multiple of the exponent of every group below (16, 27 and 25 divide it),
+#: so a letter with a multiple of it as exponent vanishes in all of them.
+VANISHING = 2**4 * 3**3 * 5**2
+
+MOD_E_PRESENTATIONS = (
+    pres((1, 1)), pres((2, 4)), pres((1, -1)), pres((3, 3), (1, -1)),
+    pres((25, 25), (16, 16)),
+)
+
+
+@functools.cache
+def mod_e_groups():
+    """Every shipped non-abelian group and the test_pcgroup extras."""
+    return [
+        g for p in (2, 3, 5) for g in builtin_catalog(p) if not g.is_abelian
+    ] + extra_groups()
+
+
+@functools.cache
+def representatives(pr, g):
+    return orbit_homs(pr, g)
+
+
+mod_e_exponents = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-3, 3).map(lambda k: k * VANISHING),
+    st.sampled_from([10**30, -10**30]),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def words_mod_exponent(draw, r):
+    """prefix x^e y^(k VANISHING) x^f suffix: y vanishes in every group, so
+    x^e and x^f must merge, and with f = -e they cancel (the whole word
+    reduces to the empty word when prefix and suffix do)."""
+    letter = st.tuples(st.integers(0, r), mod_e_exponents)
+    x, y = draw(st.permutations(range(r + 1)))[:2]
+    e = draw(mod_e_exponents.filter(bool))
+    f = draw(st.one_of(st.just(-e), mod_e_exponents))
+    k = draw(st.sampled_from([-2, -1, 1, 2]))
+    middle = [(x, e), (y, k * VANISHING), (x, f)]
+    return reduce(draw(st.lists(letter, max_size=4)) + middle
+                  + draw(st.lists(letter, max_size=4)))
+
+
+def test_reduced_mod_examples():
+    E = 4
+    a, t = generator(0), generator(1)
+    assert (a**2 * t**E * a**3).reduced_mod(E) == a  # t vanishes, a^5 = a
+    assert (a * t ** (-E) * a**-1).reduced_mod(E) == Word()
+    assert (a**-1).reduced_mod(E) == a**3
+    assert (a ** (10**30) * t ** (-(10**30) - 1)).reduced_mod(E) == t**3
+    assert (t * a**8 * t**3 * a**4).reduced_mod(E) == Word()  # t t^3 = t^4, then gone
+    w = a**6 * t
+    assert w.reduced_mod(E) is w.reduced_mod(E) and w.reduced_mod(3) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MOD_E_PRESENTATIONS).flatmap(
+        lambda pr: st.tuples(st.just(pr), words_mod_exponent(pr.r))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_reduced_evaluation_matches_unreduced(case, seed):
+    pr, w = case
+    rng = np.random.default_rng(seed)
+    for g in mod_e_groups():
+        E = g.exponent
+        reduced = w.reduced_mod(E)
+        assert all(0 < e < E for _, e in reduced.letters)
+        assert reduce(reduced.letters, E) == reduced
+        imgs = rng.integers(0, g.order, size=(pr.r + 1, 32))
+        assert np.array_equal(evaluate_word_bulk(reduced, g, imgs[0], imgs[1:]),
+                              evaluate_word_bulk(w, g, imgs[0], imgs[1:]))
+        target = representatives(pr, g)
+        # the trivial-Aut extras at r = 2 have 0.5-1.3 M representatives:
+        # the random image arrays above cover them
+        if target is None or len(target.a_img) > 2**16:
+            continue
+        images = evaluate_word_bulk(w, g, target.a_img, target.t_imgs)
+        assert np.array_equal(
+            evaluate_word_bulk(reduced, g, target.a_img, target.t_imgs), images
+        )
+        assert target.separate(w) == first_hit_witness(
+            g, target.a_img, target.t_imgs, images
+        )
+
+
+# --- verdict memo --------------------------------------------------------------
+
+
+def test_verdict_memo_equal_words():
+    oracle = QuotientOracle(pres((3, 1), (5, 1)), 2)
+    w1 = parse_word("t1 a^3 t1^-1 t2 a t2^-1 a^-2", oracle.pres)
+    w2 = Word(tuple(w1.letters))
+    assert w1 is not w2
+    v = oracle.verdict(w1)
+    assert oracle.verdict(w2) is v
+    assert v == QuotientOracle(oracle.pres, 2).verdict(w2)
+
+
+def test_verdict_memo_is_transparent_in_verify(monkeypatch):
+    pr, bounds = pres((2, 2), (4, 4)), Bounds(k_max=1, comm_word_len=4)
+    memoised = verify_theorem(pr, 2, bounds)
+    words = [c.word for c in memoised.checks]
+    assert memoised.classification.case == Case.TWO
+    assert len(set(words)) < len(words)  # the alternates repeat words
+    verdict = QuotientOracle.verdict
+
+    def fresh_verdict(self, w):
+        return verdict(QuotientOracle(self.pres, self.p, self.budget, self.groups), w)
+
+    monkeypatch.setattr(QuotientOracle, "verdict", fresh_verdict)
+    assert verify_theorem(pr, 2, bounds) == memoised
+
+
+def test_verdict_memo_per_oracle():
+    pr = pres((2, 12))
+    w = generator(0)
+    small = QuotientOracle(pr, 2, Budget(max_order=0, s_max=0))
+    big = QuotientOracle(pr, 2, Budget(max_order=16, s_max=6))
+    assert not small.verdict(w).separated
+    assert big.verdict(w) == membership_verdict(w, pr, 2, big.budget)
+    assert big.verdict(w).separated and big.verdict(w).homs_tested > 0
 
 
 # --- orbit representatives ------------------------------------------------------
