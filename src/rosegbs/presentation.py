@@ -261,11 +261,11 @@ def parse_presentation(text: str) -> RoseGbs:
     loops: dict[int, LoopRelation] = {}
     while True:
         _, tname, tpos = cur.expect("name")
-        if tname == "a" or not tname.startswith("t"):
+        if tname == "a":
             raise ParseError("relation must start with a stable letter", tpos)
-        idx = int(tname[1:])
-        if not 1 <= idx <= r:
+        if tname not in names:
             raise ParseError(f"unknown stable letter {tname!r}", tpos)
+        idx = names.index(tname) + 1
         if idx in loops:
             raise ParseError(f"duplicate relation for {tname!r}", tpos)
         cur.expect("name", "a")
@@ -313,12 +313,9 @@ def parse_word(text: str, pres: RoseGbs) -> Word:
         first = False
         if k != "name":
             raise ParseError(f"expected generator, found {v!r}", pos)
-        if v == "a":
-            gen = 0
-        else:
-            gen = int(v[1:])
-            if not 1 <= gen <= pres.r:
-                raise ParseError(f"unknown generator {v!r}", pos)
+        gen = 0 if v == "a" else int(v[1:])
+        if gen > pres.r or v != _name(gen):  # t0 and t01 are not names
+            raise ParseError(f"unknown generator {v!r}", pos)
         exp = 1
         if cur.peek()[:2] == ("punct", "^"):
             cur.next()
@@ -333,6 +330,10 @@ def print_word(w: Word) -> str:
         return "1"
     parts = []
     for gen, exp in w.letters:
-        name = "a" if gen == 0 else f"t{gen}"
+        name = _name(gen)
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return " ".join(parts)
+
+
+def _name(gen: GenIndex) -> str:
+    return "a" if gen == 0 else f"t{gen}"

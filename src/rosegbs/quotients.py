@@ -21,24 +21,35 @@ sides and H is a p-group, and contribute one canonical homomorphism each
 Every target offers order, homs (how many homomorphisms it tests) and
 separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
 
-* Abelian P (AbelianHoms): closed form.  In an abelian P the loop reads
+Every catalog target is a CatalogHoms: a_img / t_imgs hold representative
+homomorphisms in lexicographic order, separate evaluates the word on all of
+them at once (evaluate_word_bulk) and reports the first that does not kill
+it, and homs counts every homomorphism, represented or not.
+
+* Abelian P: the axis homs.  In an abelian P the loop reads
   a^(n_i) = a^(m_i) and puts no condition on t_i, so Hom(G, P) = A x P^r
   with A = {a : a^(n_i) = a^(m_i) for all i}, and
   phi(w) = phi(a)^(e_0) phi(t_1)^(e_1) .. phi(t_r)^(e_r), e_g the exponent
-  sum of generator g in w (Word.abelianised).  Let j >= 1 be the last index
-  for which x -> x^(e_j) is not trivial on P, and x_j the least x with
-  x^(e_j) != 1.  The homomorphism with t_j = x_j and every other image 1
-  (code 0, the least code) separates, with image x_j^(e_j).  Every
-  lexicographically smaller one has a = t_1 = .. = t_(j-1) = 1 and
+  sum of generator g in w (Word.abelianised).  An axis hom sends every
+  generator to 1 but at most one, g_j (a for j = 0, t_j for j >= 1), which
+  it sends to some x; under it w maps to x^(e_j) in any group.  The first
+  separating homomorphism is an axis hom.  Let j >= 1 be the last index for
+  which x -> x^(e_j) is not trivial on P, and x_j the least x with
+  x^(e_j) != 1.  The axis hom t_j = x_j separates.  Every
+  lexicographically smaller homomorphism has a = t_1 = .. = t_(j-1) = 1 and
   t_j < x_j, so t_j^(e_j) = 1, and t_i^(e_i) = 1 for every i > j by the
-  choice of j: it does not separate.  With no such j, phi(w) = phi(a)^(e_0),
-  and by the same argument the first separating homomorphism has the least
-  a in A with a^(e_0) != 1 and every t_i = 1, or there is none.  This is
-  one scan of P's power map x -> x^e (PcGroup.powers) per nonzero exponent
-  sum, at most r + 1 per word.
-* Non-abelian P (CatalogHoms): Aut(P)-orbit representatives.  For a
-  homomorphism phi and alpha in a subgroup A of Aut(P), alpha o phi is again
-  a homomorphism and phi(w) != 1 iff alpha(phi(w)) != 1, so the separating
+  choice of j: it does not separate.
+  With no such j, phi(w) = phi(a)^(e_0), and by the same argument the first
+  separating homomorphism is the axis hom a = the least a in A with
+  a^(e_0) != 1, or there is none.  So the representatives are the axis homs
+  in lexicographic order: the trivial hom, then t_r = x for every x != 1,
+  then t_(r-1) = x, .., down to t_1, then a = x for every x != 1 in A.
+  separate evaluates w.abelianised, which has the same image as w under
+  every map into an abelian group, so a word whose exponent sums are all
+  zero, every commutator among them, is never evaluated.
+* Non-abelian P: Aut(P)-orbit representatives.  For a homomorphism phi and
+  alpha in a subgroup A of Aut(P), alpha o phi is again a homomorphism and
+  phi(w) != 1 iff alpha(phi(w)) != 1, so the separating
   homomorphisms are a union of A-orbits (A acting on the tuples
   x = (phi(a), phi(t_1), ..) coordinate-wise).  The lexicographically first
   separating homomorphism is then the least of its orbit, as any other
@@ -60,16 +71,17 @@ separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
   are least under S_i gives exactly the orbit-least homomorphisms, and
   extending a lexicographically ordered frontier by increasing x_i keeps
   them in lexicographic order.
-  Each word is evaluated reduced modulo the exponent E of P
-  (Word.reduced_mod, PcGroup.exponent): every exponent is taken mod E, zero
-  letters are dropped and the neighbours merged again.  For every hom phi
-  into P and every x, phi(x)^E = 1, so g^e and g^(e mod E) have the same
-  image under phi, and so do the word and its reduction.  The images array
-  over the representatives is therefore identical element by element, and
-  the first separating representative and its word_image do not change.  A
-  word that reduces to the empty word is killed by every hom into P and is
-  not evaluated at all; the paper's a^(p^sigma) blocks and repeated
-  stable-letter powers mostly vanish this way.
+
+On either kind, each word is evaluated reduced modulo the exponent E of P
+(Word.reduced_mod, PcGroup.exponent): every exponent is taken mod E, zero
+letters are dropped and the neighbours merged again.  For every hom phi into
+P and every x, phi(x)^E = 1, so g^e and g^(e mod E) have the same image under
+phi, and so do the word and its reduction.  The images array over the
+representatives is therefore identical element by element, and the first
+separating representative and its word_image do not change.  A word that
+reduces to the empty word is killed by every hom into P and is not evaluated
+at all; the paper's a^(p^sigma) blocks and repeated stable-letter powers
+mostly vanish this way.
 
 QuotientOracle.verdict is memoised per word for the oracle's lifetime.  The
 targets, their order and their homs are fixed by the presentation, p, the
@@ -90,7 +102,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -180,54 +192,11 @@ def evaluate_word_bulk(
     return images if w.letters else np.zeros(len(a_img), dtype=np.int32)
 
 
-def _catalog_witness(g: PcGroup, a: int, ts: Sequence[int], image: int) -> dict:
-    return {
-        "kind": "catalog",
-        "target": g.name,
-        "order": g.order,
-        "image_a": g.element_str(a),
-        "image_t": [g.element_str(t) for t in ts],
-        "word_image": g.element_str(image),
-    }
-
-
-@dataclass(frozen=True)
-class AbelianHoms:
-    """Hom(G, P) = A x P^r for an abelian catalog group P, A = a_codes the
-    admissible images of a (see the module docstring)."""
-
-    group: PcGroup
-    r: int
-    a_codes: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    @property
-    def homs(self) -> int:
-        return len(self.a_codes) * self.group.order**self.r
-
-    def separate(self, w: Word) -> Optional[dict]:
-        """Witness for the first hom (in lexicographic order) under which w is
-        not the identity, or None, in closed form from w's exponent sums."""
-        g = self.group
-        imgs = [0] * (self.r + 1)  # of a, t_1, .., t_r
-        # the nonzero exponent sums, from t_r down to a: the least x in the
-        # letter's domain (A for a, P for t_j) with x^e != 1
-        for gen, e in reversed(w.abelianised.letters):
-            domain = np.arange(g.order) if gen else self.a_codes
-            moved = domain[g.powers(e)[domain] != 0]
-            if len(moved):
-                imgs[gen] = x = int(moved[0])
-                return _catalog_witness(g, imgs[0], imgs[1:], g.power(x, e))
-        return None
-
-
 @dataclass(frozen=True)
 class CatalogHoms:
-    """The Aut(P)-orbit representatives of Hom(G, P) for a non-abelian catalog
-    group P, which separate() evaluates (see the module docstring); homs
+    """Representatives of Hom(G, P) for a catalog group P, in lexicographic
+    order, which separate() evaluates: the axis homs for an abelian P, the
+    Aut(P)-orbit representatives otherwise (see the module docstring); homs
     counts every hom."""
 
     group: PcGroup
@@ -241,18 +210,25 @@ class CatalogHoms:
 
     def separate(self, w: Word) -> Optional[dict]:
         """Witness for the first hom (in lexicographic order) under which w is
-        not the identity, or None; w is evaluated reduced mod the exponent
-        (see the module docstring)."""
-        w = w.reduced_mod(self.group.exponent)
+        not the identity, or None; w is evaluated abelianised on an abelian
+        P and reduced mod the exponent (see the module docstring)."""
+        g = self.group
+        w = (w.abelianised if g.is_abelian else w).reduced_mod(g.exponent)
         if w.is_identity():
             return None
-        images = evaluate_word_bulk(w, self.group, self.a_img, self.t_imgs)
+        images = evaluate_word_bulk(w, g, self.a_img, self.t_imgs)
         hits = np.nonzero(images)[0]
         if not len(hits):
             return None
         i = int(hits[0])
-        return _catalog_witness(self.group, int(self.a_img[i]),
-                                [int(t[i]) for t in self.t_imgs], int(images[i]))
+        return {
+            "kind": "catalog",
+            "target": g.name,
+            "order": g.order,
+            "image_a": g.element_str(int(self.a_img[i])),
+            "image_t": [g.element_str(int(t[i])) for t in self.t_imgs],
+            "word_image": g.element_str(int(images[i])),
+        }
 
 
 #: Booleans per block of candidate masks in orbit_homs.
@@ -296,19 +272,6 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
             stab = chain.stabilisers(stab[row], prefix[-1])
     a_img, *t_imgs = prefix
     return CatalogHoms(group, a_img, t_imgs, homs)
-
-
-def catalog_target(
-    pres: RoseGbs, group: PcGroup
-) -> Optional[AbelianHoms | CatalogHoms]:
-    """The target of one catalog group: closed form when it is abelian, else
-    its orbit representatives (None over the budget)."""
-    if not group.is_abelian:
-        return orbit_homs(pres, group)
-    ok = np.ones(group.order, dtype=bool)
-    for loop in pres.loops:
-        ok &= group.powers(loop.n) == group.powers(loop.m)
-    return AbelianHoms(group, pres.r, np.flatnonzero(ok))
 
 
 # --- holomorph quotients ------------------------------------------------------
@@ -460,9 +423,12 @@ class Verdict:
 class QuotientOracle:
     """Budgeted, deterministic sweep over catalog targets and holomorphs.
 
-    A non-abelian catalog group whose orbit representatives would take more
-    than MAX_ASSIGNMENTS codes is left out (skipped_groups); an abelian one
-    never is.
+    targets lists them in scan order, all built here, once: one CatalogHoms
+    per catalog group within the budget, in file order, then one
+    HolomorphQuotient per s.  A non-abelian catalog group whose orbit
+    representatives would take more than MAX_ASSIGNMENTS codes is left out
+    and named in skipped_groups; an abelian one never is, as it has only
+    r (|P| - 1) + |A| axis homs.
 
     Holomorphs are built for s = 1, 2, .. and the first unavailable s ends
     the list, since then every larger s is unavailable too.  "not-applicable"
@@ -489,7 +455,6 @@ class QuotientOracle:
         if catalog is None:
             catalog = builtin_catalog(p) if budget.max_order > 0 else ()
         self.groups = [g for g in catalog if g.order <= budget.max_order]
-        self._catalog_targets: dict[str, Optional[AbelianHoms | CatalogHoms]] = {}
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
         self._verdicts: dict[Word, Verdict] = {}
@@ -499,32 +464,34 @@ class QuotientOracle:
             except HolomorphUnavailable as exc:
                 self.holomorph_unavailable = f"s={s}: {exc}"
                 break
+        built = [(g.name, self.homs_for(g)) for g in self.groups]
+        self.skipped_groups = [name for name, t in built if t is None]
+        self.targets: list[CatalogHoms | HolomorphQuotient] = [
+            t for _, t in built if t is not None
+        ] + self.holomorphs
 
-    def homs_for(self, group: PcGroup) -> Optional[AbelianHoms | CatalogHoms]:
-        """The target of group, built and cached on first use; None if it is
-        left out."""
-        if group.name not in self._catalog_targets:
-            self._catalog_targets[group.name] = catalog_target(self.pres, group)
-        return self._catalog_targets[group.name]
-
-    def targets(self) -> Iterator[AbelianHoms | CatalogHoms | HolomorphQuotient]:
-        """Catalog targets in file order, then holomorphs by s; catalog
-        targets are built (and cached) only when reached."""
-        for group in self.groups:
-            target = self.homs_for(group)
-            if target is not None:
-                yield target
-        yield from self.holomorphs
+    def homs_for(self, group: PcGroup) -> Optional[CatalogHoms]:
+        """The target of one catalog group: its axis homs when it is abelian,
+        else its orbit representatives, None over the budget (see the module
+        docstring)."""
+        if not group.is_abelian:
+            return orbit_homs(self.pres, group)
+        n, r = group.order, self.pres.r
+        ok = np.ones(n, dtype=bool)
+        for loop in self.pres.loops:
+            ok &= group.powers(loop.n) == group.powers(loop.m)
+        a_codes = np.flatnonzero(ok)  # A, starting at the identity 0
+        imgs = np.zeros((r + 1, r * (n - 1) + len(a_codes)), dtype=np.int32)
+        for j in range(1, r + 1):  # the t_r block first, t_1 last
+            lo = 1 + (r - j) * (n - 1)
+            imgs[j, lo:lo + n - 1] = np.arange(1, n)
+        imgs[0, 1 + r * (n - 1):] = a_codes[1:]
+        a_img, *t_imgs = imgs
+        return CatalogHoms(group, a_img, t_imgs, len(a_codes) * n**r)
 
     @property
     def total_homs(self) -> int:
-        return sum(t.homs for t in self.targets())
-
-    @property
-    def skipped_groups(self) -> list[str]:
-        """Names of the catalog groups left out; builds every catalog target
-        not built yet."""
-        return [g.name for g in self.groups if self.homs_for(g) is None]
+        return sum(t.homs for t in self.targets)
 
     def verdict(self, w: Word) -> Verdict:
         """The first target, in order, that separates w, with the homs tested
@@ -539,7 +506,7 @@ class QuotientOracle:
     def _sweep(self, w: Word) -> Verdict:
         tested = 0
         max_order = 0
-        for target in self.targets():
+        for target in self.targets:
             tested += target.homs
             max_order = max(max_order, target.order)
             witness = target.separate(w)

@@ -64,6 +64,7 @@ def test_not_prime_exits_2(capsys):
 
 def test_parse_error_exits_2(capsys):
     assert main(["classify", "-p", "2", "<a,t1|t1 a^0 t1^-1 = a^3>"]) == 2
+    assert main(["classify", "-p", "2", "<a,t1 | t01 a^2 t01^-1 = a^3>"]) == 2
 
 
 def test_generators_text_serialization(capsys):

@@ -58,6 +58,7 @@ def test_parse_presentation_relation_order_free():
         "<a | >",  # no stable letters
         "<a,t1 | t1 a^2 t2^-1 = a^3>",  # mismatched letter
         "<a,t2 | t2 a^2 t2^-1 = a^3>",  # letters must be t1..tr
+        "<a,t1 | t01 a^2 t01^-1 = a^3>",  # t01 is not the name t1
         "<a,t1 | t1 a^2 t1^-1 = a^3> trailing",
     ],
 )
@@ -76,8 +77,9 @@ def test_parse_word_examples():
     w = parse_word("a^2 t1 a^-1", PRES2)
     assert w.letters == ((0, 2), (1, 1), (0, -1))
     assert parse_word("t1 t1^-1", PRES2) == IDENTITY
-    with pytest.raises(ParseError):
-        parse_word("t3 a", PRES2)
+    for text in ("t3 a", "t01 a", "a t0"):  # only the exact names a, t1, t2
+        with pytest.raises(ParseError, match="unknown generator"):
+            parse_word(text, PRES2)
     with pytest.raises(ParseError):
         parse_word("a^0", PRES2)
 

@@ -13,7 +13,6 @@ from rosegbs.numtheory import inverse_mod
 from rosegbs.pcgroup import builtin_catalog
 from rosegbs.presentation import RoseGbs, Word, generator, parse_word, reduce
 from rosegbs.quotients import (
-    AbelianHoms,
     Budget,
     CatalogHoms,
     HolomorphUnavailable,
@@ -77,6 +76,11 @@ def ref_orbit_least(g, homs):
         h for h, f in zip(homs, flat)
         if all(tuple(int(aut[x]) for x in f) >= f for aut in g.automorphisms)
     ]
+
+
+def ref_axis_homs(homs):
+    """The homs that send at most one generator to a non-identity element."""
+    return [(a, ts) for a, ts in homs if sum(x != 0 for x in (a, *ts)) <= 1]
 
 
 def as_homs(a_img, t_imgs):
@@ -197,19 +201,19 @@ def test_targets_match_scalar_reference(case):
     p, pr, w = case
     oracle = QuotientOracle(pr, p, Budget(max_order=REF_MAX_ORDER[p], s_max=6))
     witnesses = []
-    for target in oracle.targets():
+    for target in oracle.targets:
         witness = target.separate(w)
         witnesses.append(witness)
-        if isinstance(target, (AbelianHoms, CatalogHoms)):
+        if isinstance(target, CatalogHoms):
             g = target.group
             homs = ref_homs(pr, g)
             assert as_homs(*hom_arrays(pr, g)) == homs
             assert target.homs == len(homs)
             if g.is_abelian:
-                assert isinstance(target, AbelianHoms)
-                assert target.a_codes.tolist() == sorted({a for a, _ in homs})
+                want = ref_axis_homs(homs)
             else:
-                assert as_homs(target.a_img, target.t_imgs) == ref_orbit_least(g, homs)
+                want = ref_orbit_least(g, homs)
+            assert as_homs(target.a_img, target.t_imgs) == want
             first = next(
                 (
                     (a, ts, image)
@@ -236,6 +240,34 @@ def test_targets_match_scalar_reference(case):
             assert (witness is None) == (pair == (0, 1))
     v = oracle.verdict(w)
     assert v.witness == next((x for x in witnesses if x is not None), None)
+
+
+def test_zero_exponent_sums_skip_abelian_evaluation(monkeypatch):
+    """Every hom into an abelian group kills a word whose exponent sums are all
+    zero, so separate() must answer without evaluating it."""
+    evaluated = []
+
+    def counting(w, *args):
+        evaluated.append(w)
+        return evaluate_word_bulk(w, *args)
+
+    monkeypatch.setattr("rosegbs.quotients.evaluate_word_bulk", counting)
+    pr = pres((3, 1), (5, 1))
+    words = [
+        parse_word(text, pr)
+        for text in ("a t1 a^-1 t1^-1", "t1 a^5 t1^-1 a^-5",
+                     "t2 t1^3 a t2^-1 t1^-3 a^-1",
+                     "t1 t2 t1^-1 t2^-1 a^7 t1 a^-7 t1^-1")
+    ]
+    for p in (2, 3):
+        oracle = QuotientOracle(pr, p, Budget(max_order=27, s_max=0))
+        abelian = [t for t in oracle.targets if t.group.is_abelian]
+        assert len(abelian) >= 3
+        for w in words:
+            assert w.abelianised == Word()
+            assert all(t.separate(w) is None for t in abelian)
+    assert evaluated == []
+    assert abelian[0].separate(generator(1)) is not None and evaluated
 
 
 # --- differential test: reduced oracle against the full sweep -----------------------
@@ -518,8 +550,8 @@ def test_orbit_homs_over_the_budget(monkeypatch):
     assert orbit_homs(pres((16, 16)), g) is None
     oracle = QuotientOracle(pres((16, 16)), 2, Budget(max_order=8, s_max=0))
     assert oracle.skipped_groups == ["D8"]
-    assert [t.group.name for t in oracle.targets()] == ["C2", "C4", "C2x2", "C8",
-                                                         "C4xC2", "C2x3", "Q8"]
+    assert [t.group.name for t in oracle.targets] == ["C2", "C4", "C2x2", "C8",
+                                                       "C4xC2", "C2x3", "Q8"]
 
 
 # --- holomorph quotients ----------------------------------------------------------
