@@ -18,16 +18,18 @@ with a p-overflow absorbed through the collected value of g_L^p.  Each level
 is built on int32 arrays: psi is folded one tail generator at a time over
 the exponent digits of all codes, and the level table is one gather of the
 level below.  The construction is a definition, not a proof: load-time
-validation checks the group axioms (exhaustive associativity up to order
-128, sampled above) and re-checks every presented relation against the
-finished table, rejecting any inconsistent presentation.
+validation checks the group axioms (associativity proved by Light's test up
+to order 128, sampled above; see PcGroup._validate) and re-checks every
+presented relation against the finished table, rejecting any inconsistent
+presentation.
 
 A finished group evaluates words in one place, PcGroup.evaluate: the left
 fold acc = acc x^e of table gathers over the power maps, on codes or on
 broadcast arrays of codes.  The relation re-check and the automorphism search
 evaluate both sides of the same relation list, PcGroup._relations (power
 relations first, then commutator relations), and the quotient oracle
-evaluates its words and loop relations through it too.
+evaluates its loop relations and single words through it too
+(quotients.evaluate_words runs the same fold over many words at once).
 
 The catalog file format (line-oriented, '#' comments):
 
@@ -66,7 +68,7 @@ from .numtheory import is_prime
 
 PcWord = tuple[tuple[int, int], ...]  # ((generator 1-based, exponent), ...)
 
-#: Orders up to which associativity is checked exhaustively at load.
+#: Orders up to which associativity is proved at load (Light's test).
 EXHAUSTIVE_ORDER_LIMIT = 128
 
 #: Hard cap on the order of a loadable group, the largest order measured:
@@ -254,23 +256,49 @@ class PcGroup:
     # -- validation -----------------------------------------------------------
 
     def _validate(self, seed: int) -> None:
+        """Check the identity axiom, associativity and the presented relations
+        on the finished table; raise CatalogError at the first failure.
+
+        Up to EXHAUSTIVE_ORDER_LIMIT, associativity is proved by Light's test
+        (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
+        section 1.2): if (x s) y = x (s y) for all x, y and every s in a set A
+        that generates the table's magma, the magma is associative.  The set T
+        of such s contains A and is closed under the product: for s, u in T,
+        (x (s u)) y = ((x s) u) y = (x s) (u y) = x (s (u y)) = x ((s u) y).
+        So T holds every product of generators.  A is the pc generators, and
+        they generate the table: the left fold of every normal form
+        g_1^(e_1) .. g_n^(e_n) through the table is checked to give back its
+        code.  That is order^2 gathers per generator, not order^3.  Above the
+        limit, 20000 random triples are checked.
+        """
         t = self.table
         n = self.order
         elems = np.arange(n)
         if not (np.all(t[0] == elems) and np.all(t[:, 0] == elems)):
             raise CatalogError(f"group {self.name}: identity axiom fails")
         if n <= EXHAUSTIVE_ORDER_LIMIT:
-            # one x at a time: two order^2 arrays, not two order^3 ones
-            for x in range(n):
-                left = t[t[x]]  # left[y,z] = (xy)z
-                right = t[x][t]  # right[y,z] = x(yz)
+            gens = [self.generator_code(i) for i in range(1, self.ngens + 1)]
+            fold = np.zeros(n, dtype=np.int32)
+            for s in gens:
+                digit = elems // s % self.p
+                for e in range(1, self.p):
+                    fold = np.where(digit >= e, t[fold, s], fold)
+            if not np.array_equal(fold, elems):
+                x = int(np.flatnonzero(fold != elems)[0])
+                raise CatalogError(
+                    f"group {self.name}: the normal form of {self.element_str(x)}"
+                    " does not multiply out to it"
+                )
+            for s in gens:
+                left = t[t[:, s]]  # left[x, y] = (x s) y
+                right = t[:, t[s]]  # right[x, y] = x (s y)
                 if np.array_equal(left, right):
                     continue
-                y, z = np.argwhere(left != right)[0]
+                x, y = np.argwhere(left != right)[0]
                 raise CatalogError(
                     f"group {self.name}: associativity fails at "
-                    f"({self.element_str(x)}, {self.element_str(y)},"
-                    f" {self.element_str(z)})"
+                    f"({self.element_str(x)}, {self.element_str(s)},"
+                    f" {self.element_str(y)})"
                 )
         else:
             rng = random.Random(seed)
@@ -363,6 +391,11 @@ class PcGroup:
         """x -> x^e on all codes, for any integer e."""
         return self._powers[e % self.exponent]
 
+    def powers_of(self, codes: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """x^e elementwise for arrays of codes x and of exponents
+        0 <= e < exponent, broadcast against each other."""
+        return self._powers.ravel().take(exps * self.order + codes)
+
     def power(self, x: int, e: int) -> int:
         return int(self.powers(e)[x])
 
@@ -372,10 +405,10 @@ class PcGroup:
         whose first step is no gather (1 x = x, an axiom _validate checks).
         An image is a code or an array of codes; arrays broadcast, and the
         result is an int32 code or array (code 0 for the empty word)."""
-        acc = np.int32(0)
+        acc, powers, table = np.int32(0), self._powers, self.table.ravel()
         for k, (g, e) in enumerate(letters):
-            x = self.powers(e)[images[g]]
-            acc = self.table[acc, x] if k else x
+            x = powers[e % len(powers)][images[g]]
+            acc = table.take(acc * self.order + x) if k else x
         return acc
 
     def element_vector(self, code: int) -> tuple[int, ...]:

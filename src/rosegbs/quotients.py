@@ -19,12 +19,13 @@ sides and H is a p-group, and contribute one canonical homomorphism each
 (a -> (1, 1), t_i -> (0, c_i)), evaluated in closed form on exact integers.
 
 Every target offers order, homs (how many homomorphisms it tests) and
-separate(word) -> witness dict or None, so QuotientOracle.verdict is one loop.
+separate(words) -> one witness dict or None per word, so
+QuotientOracle.verdicts is one pass over the targets.
 
-Every catalog target is a CatalogHoms: a_img / t_imgs hold representative
-homomorphisms in lexicographic order, separate evaluates the word on all of
-them at once (evaluate_word_bulk) and reports the first that does not kill
-it, and homs counts every homomorphism, represented or not.
+Every catalog target is a CatalogHoms: the columns of imgs hold representative
+homomorphisms in lexicographic order, separate evaluates the words on all of
+them at once (evaluate_words) and reports, per word, the first that does not
+kill it, and homs counts every homomorphism, represented or not.
 
 * Abelian P: the axis homs.  In an abelian P the loop reads
   a^(n_i) = a^(m_i) and puts no condition on t_i, so Hom(G, P) = A x P^r
@@ -83,12 +84,29 @@ reduces to the empty word is killed by every hom into P and is not evaluated
 at all; the paper's a^(p^sigma) blocks and repeated stable-letter powers
 mostly vanish this way.
 
-QuotientOracle.verdict is memoised per word for the oracle's lifetime.  The
-targets, their order and their homs are fixed by the presentation, p, the
-budget and the catalog, so a verdict depends only on the oracle and the
-word: a repeated word (the alternate mixed families repeat containment
-words) gets an equal Verdict, with the same homs_tested and witness,
-without a second sweep.
+QuotientOracle.verdicts(words) takes a whole check phase in one pass: the
+words without a verdict yet go to each target, in scan order, together, and
+a word leaves the batch at the first target that separates it.  So each word
+meets the same targets in the same order as in a sweep of its own, and its
+verdict is unchanged, provided each target separates a word of the batch
+exactly when and as it would separate the word alone.  It does: on a
+catalog target, row k of evaluate_words(words, ..) is the image array of
+words[k] alone, PcGroup.evaluate over the same representatives, element by
+element; the words are only sorted by length and their letters packed by
+position, and each row is still the left fold of its own letters.  The first
+nonzero entry of the row is therefore the same representative, with the same
+word_image, and the first separating target, homs_tested (the homs of the
+targets up to it), max_order and the witness are those of the per-word sweep.
+A call takes at most _EVAL_BLOCK letter images: the batch is cut into chunks
+of whole words and a word too long for that walks the representatives in
+blocks; a word's first hit lies in the first block where its row has a
+nonzero entry, so neither cut changes it.
+
+Verdicts are memoised per word for the oracle's lifetime.  The targets,
+their order and their homs are fixed by the presentation, p, the budget and
+the catalog, so a verdict depends only on the oracle and the word: a repeated
+word (the alternate mixed families repeat containment words) gets an equal
+Verdict, with the same homs_tested and witness, without a second sweep.
 
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
@@ -183,13 +201,61 @@ def hom_arrays(pres: RoseGbs, group: PcGroup) -> tuple[np.ndarray, list[np.ndarr
     return a_img, t_imgs
 
 
+def evaluate_words(
+    words: Sequence[Word], group: PcGroup, imgs: np.ndarray
+) -> np.ndarray:
+    """Images of several words under a whole array of homs at once: row k
+    holds the images of words[k], imgs[g] the homs' images of generator g
+    (a, t_1, .., t_r), as an int32 array of len(words) rows.
+
+    Row k is PcGroup.evaluate(words[k].letters, imgs), the left fold
+    acc = acc x^e over the word's letters, and one word is evaluated by it
+    directly.  Several words are sorted by length, longest first, and their
+    letters packed position by position: the images x^e of all letters are one
+    gather, and the l-th letters of the words longer than l are a run of
+    consecutive rows that one table gather folds into the first rows of acc.
+    """
+    if len(words) == 1 and words[0].letters:
+        return group.evaluate(words[0].letters, imgs)[None]
+    order = sorted(range(len(words)), key=lambda k: -len(words[k].letters))
+    lengths = [len(words[k].letters) for k in order]
+    live = len(lengths) - lengths.count(0)
+    if not live:
+        return np.zeros((len(words), imgs.shape[1]), dtype=np.int32)
+    columns = itertools.zip_longest(*(words[k].letters for k in order))
+    gens, exps = zip(*(x for col in columns for x in col if x is not None))
+    e, n, table = group.exponent, group.order, group.table.ravel()
+    x = group.powers_of(imgs[np.array(gens)], np.array([k % e for k in exps])[:, None])
+    acc = x[:live]  # the first letters; their rows of x are not read again
+    start = live
+    for position in range(1, lengths[0]):
+        while lengths[live - 1] <= position:
+            live -= 1
+        # acc[:live] = table[acc[:live], x[..]] in place, as one flat take
+        # (mode="clip", every index being in range, writes to out unbuffered)
+        row = acc[:live]
+        row *= n
+        row += x[start:start + live]
+        table.take(row, out=row, mode="clip")
+        start += live
+    if len(acc) == len(words) and order == list(range(len(words))):
+        return acc
+    out = np.zeros((len(words), imgs.shape[1]), dtype=np.int32)
+    out[order[:len(acc)]] = acc
+    return out
+
+
 def evaluate_word_bulk(
     w: Word, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Images of w under a whole array of homs at once: PcGroup.evaluate over
-    the homs' images of a, t_1, .., t_r."""
-    images = group.evaluate(w.letters, [a_img, *t_imgs])
-    return images if w.letters else np.zeros(len(a_img), dtype=np.int32)
+    """Images of w under a whole array of homs at once: evaluate_words on the
+    one word, over the homs' images of a, t_1, .., t_r."""
+    return evaluate_words([w], group, np.stack([a_img, *t_imgs]))[0]
+
+
+#: Letter images per evaluate_words call in CatalogHoms.separate: 1 MB of
+#: int32 codes.
+_EVAL_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -197,37 +263,86 @@ class CatalogHoms:
     """Representatives of Hom(G, P) for a catalog group P, in lexicographic
     order, which separate() evaluates: the axis homs for an abelian P, the
     Aut(P)-orbit representatives otherwise (see the module docstring); homs
-    counts every hom."""
+    counts every hom.  Column i of imgs is representative i: its images of
+    a, t_1, .., t_r."""
 
     group: PcGroup
-    a_img: np.ndarray
-    t_imgs: Sequence[np.ndarray]
+    imgs: np.ndarray
     homs: int
 
     @property
     def order(self) -> int:
         return self.group.order
 
-    def separate(self, w: Word) -> Optional[dict]:
-        """Witness for the first hom (in lexicographic order) under which w is
-        not the identity, or None; w is evaluated abelianised on an abelian
-        P and reduced mod the exponent (see the module docstring)."""
+    @property
+    def a_img(self) -> np.ndarray:
+        return self.imgs[0]
+
+    @property
+    def t_imgs(self) -> np.ndarray:
+        return self.imgs[1:]
+
+    def separate(self, words: Sequence[Word]) -> list[Optional[dict]]:
+        """Per word, the witness for the first hom (in lexicographic order)
+        under which it is not the identity, or None; each word is evaluated
+        abelianised on an abelian P and reduced mod the exponent (see the
+        module docstring).
+
+        The words go to evaluate_words together, in chunks of whole words
+        whose letters times the representatives stay within _EVAL_BLOCK
+        letter images; a word too long for that is a chunk of its own.  So
+        on a target with many representatives, where per-call costs do not
+        count, each word is evaluated alone."""
+        g, e = self.group, self.group.exponent
+        cap = _EVAL_BLOCK // self.imgs.shape[1]
+        out: list[Optional[dict]] = [None] * len(words)
+        chunk, letters = [], 0
+        for k, w in enumerate(words):
+            w = (w.abelianised if g.is_abelian else w).reduced_mod(e)
+            if not w.letters:
+                continue
+            if chunk and letters + len(w.letters) > cap:
+                self._first_hits(chunk, letters, out)
+                chunk, letters = [], 0
+            chunk.append((k, w))
+            letters += len(w.letters)
+        if chunk:
+            self._first_hits(chunk, letters, out)
+        return out
+
+    def _first_hits(self, live: list[tuple[int, Word]], letters: int, out: list) -> None:
+        """Set out[k] to the witness of each separated (k, word) of live, for
+        words of `letters` letters in all: the representatives are walked in
+        blocks of _EVAL_BLOCK letter images (at least one hom), and a word
+        leaves at its first block with a hit."""
+        lo = 0
+        while live and lo < self.imgs.shape[1]:
+            step = max(1, _EVAL_BLOCK // letters)
+            images = evaluate_words(
+                [w for _, w in live], self.group, self.imgs[:, lo:lo + step]
+            )
+            if np.count_nonzero(images):
+                first = (images != 0).argmax(axis=1)
+                hits = images[np.arange(len(live)), first].tolist()
+                rest = []
+                for (k, w), i, image in zip(live, first.tolist(), hits):
+                    if image:
+                        out[k] = self._witness(lo + i, image)
+                    else:
+                        rest.append((k, w))
+                live = rest
+                letters = sum(len(w.letters) for _, w in live)
+            lo += step
+
+    def _witness(self, i: int, image: int) -> dict:
         g = self.group
-        w = (w.abelianised if g.is_abelian else w).reduced_mod(g.exponent)
-        if w.is_identity():
-            return None
-        images = evaluate_word_bulk(w, g, self.a_img, self.t_imgs)
-        hits = np.nonzero(images)[0]
-        if not len(hits):
-            return None
-        i = int(hits[0])
         return {
             "kind": "catalog",
             "target": g.name,
             "order": g.order,
-            "image_a": g.element_str(int(self.a_img[i])),
-            "image_t": [g.element_str(int(t[i])) for t in self.t_imgs],
-            "word_image": g.element_str(int(images[i])),
+            "image_a": g.element_str(int(self.imgs[0, i])),
+            "image_t": [g.element_str(int(t)) for t in self.imgs[1:, i]],
+            "word_image": g.element_str(image),
         }
 
 
@@ -252,14 +367,14 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
     tables = loop_tables(pres, group)
     homs = sum(math.prod(c) for c in zip(*(ok.sum(axis=1).tolist() for ok in tables)))
     step = max(1, _BLOCK // n)
-    prefix: list[np.ndarray] = []
+    prefix = np.zeros((0, 1), dtype=np.int32)  # one empty prefix, a column
     stab = np.zeros(1, dtype=np.int32)
     for level in range(r + 1):
         rows, xs, count = [], [], 0
         for lo in range(0, len(stab), step):
             mask = chain.least[stab[lo:lo + step]]
             if level:
-                mask = mask & tables[level - 1][prefix[0][lo:lo + step]]
+                mask = mask & tables[level - 1][prefix[0, lo:lo + step]]
             count += np.count_nonzero(mask)
             if count * (r + 1) > MAX_ASSIGNMENTS:
                 return None
@@ -267,11 +382,14 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
             rows.append(row + lo)
             xs.append(x.astype(np.int32))
         row = np.concatenate(rows)
-        prefix = [c[row] for c in prefix] + [np.concatenate(xs)]
+        grown = np.empty((level + 1, len(row)), dtype=np.int32)
+        # mode="clip" (the rows are in range) writes to out without a buffer
+        np.take(prefix, row, axis=1, out=grown[:level], mode="clip")
+        np.concatenate(xs, out=grown[level])
+        prefix = grown
         if level < r:
             stab = chain.stabilisers(stab[row], prefix[-1])
-    a_img, *t_imgs = prefix
-    return CatalogHoms(group, a_img, t_imgs, homs)
+    return CatalogHoms(group, prefix, homs)
 
 
 # --- holomorph quotients ------------------------------------------------------
@@ -314,9 +432,12 @@ class HolomorphQuotient:
                 h = h * pow(self.c[gen - 1], exp, q) % q
         return k, h
 
-    def separate(self, w: Word) -> Optional[dict]:
-        """Witness if the canonical homomorphism does not kill w, else None."""
-        k, h = self.evaluate(w)
+    def separate(self, words: Sequence[Word]) -> list[Optional[dict]]:
+        """Per word, a witness if the canonical homomorphism does not kill
+        it, else None."""
+        return [self._witness(*self.evaluate(w)) for w in words]
+
+    def _witness(self, k: int, h: int) -> Optional[dict]:
         if (k, h) == (0, 1):
             return None
         return {
@@ -486,8 +607,7 @@ class QuotientOracle:
             lo = 1 + (r - j) * (n - 1)
             imgs[j, lo:lo + n - 1] = np.arange(1, n)
         imgs[0, 1 + r * (n - 1):] = a_codes[1:]
-        a_img, *t_imgs = imgs
-        return CatalogHoms(group, a_img, t_imgs, len(a_codes) * n**r)
+        return CatalogHoms(group, imgs, len(a_codes) * n**r)
 
     @property
     def total_homs(self) -> int:
@@ -496,23 +616,32 @@ class QuotientOracle:
     def verdict(self, w: Word) -> Verdict:
         """The first target, in order, that separates w, with the homs tested
         up to it; memoised per word (see the module docstring)."""
-        if w.max_gen() > self.pres.r:
-            raise ValueError("word uses a stable letter outside the presentation")
-        v = self._verdicts.get(w)
-        if v is None:
-            v = self._verdicts[w] = self._sweep(w)
-        return v
+        return self.verdicts([w])[0]
 
-    def _sweep(self, w: Word) -> Verdict:
-        tested = 0
-        max_order = 0
+    def verdicts(self, words: Sequence[Word]) -> list[Verdict]:
+        """The verdict of each word, as verdict() gives it, from one pass over
+        the targets: the words without a memoised verdict go to each target
+        in scan order together, and a word leaves at the first target that
+        separates it."""
+        if any(w.max_gen() > self.pres.r for w in words):
+            raise ValueError("word uses a stable letter outside the presentation")
+        todo = [w for w in dict.fromkeys(words) if w not in self._verdicts]
+        tested = max_order = 0
         for target in self.targets:
+            if not todo:
+                break
             tested += target.homs
             max_order = max(max_order, target.order)
-            witness = target.separate(w)
-            if witness is not None:
-                return Verdict(w, True, tested, max_order, witness)
-        return Verdict(w, False, tested, max_order)
+            rest = []
+            for w, witness in zip(todo, target.separate(todo)):
+                if witness is None:
+                    rest.append(w)
+                else:
+                    self._verdicts[w] = Verdict(w, True, tested, max_order, witness)
+            todo = rest
+        for w in todo:
+            self._verdicts[w] = Verdict(w, False, tested, max_order)
+        return [self._verdicts[w] for w in words]
 
 
 def membership_verdict(
@@ -571,9 +700,10 @@ def _check_entries(
     entries: Sequence[GeneratorEntry],
     check: str,
 ) -> list[CheckResult]:
+    verdicts = oracle.verdicts([e.word for e in entries])
     return [
-        CheckResult(check, e.family, e.detail, e.word, oracle.verdict(e.word))
-        for e in entries
+        CheckResult(check, e.family, e.detail, e.word, v)
+        for e, v in zip(entries, verdicts)
     ]
 
 

@@ -157,6 +157,69 @@ def test_associativity_exhaustive_small():
         assert np.array_equal(left, right)
 
 
+def test_swapped_table_entries_rejected():
+    """Swapping two entries of a row repeats a value in a column, so the
+    table is no group table any more: load-time validation must reject
+    every such swap."""
+    for p, name in [(2, "C4"), (2, "D8"), (2, "Q8"), (3, "C3x2")]:
+        g = by_name(p)[name]
+        g._validate(1)
+        for x in range(g.order):
+            for y, z in itertools.combinations(range(g.order), 2):
+                bad = corrupted(g, x, [y, z], g.table[x, [z, y]])
+                with pytest.raises(CatalogError, match=f"group {name}: "):
+                    bad._validate(1)
+
+
+def test_light_test_needs_every_generator_and_generation():
+    """Two non-associative tables that a weaker check would accept.  In C2x2
+    with g2 (g1 g2) = (g1 g2) g2 = 1, (x s) y = x (s y) holds for s = g1 but
+    not for s = g2.  In C3 with g1 g1 = 1, it holds for the one generator
+    g1, but g1 no longer generates g1^2, and (g1^2 g1^2) g1 = g1 while
+    g1^2 (g1^2 g1) = 1: only the check that every normal form multiplies out
+    to itself catches that."""
+
+    def light(t, s):
+        return np.array_equal(t[t[:, s]], t[:, t[s]])
+
+    c2x2 = by_name(2)["C2x2"]
+    g1, g2 = c2x2.generator_code(1), c2x2.generator_code(2)
+    bad = corrupted(c2x2, [g2, g1 + g2], [g1 + g2, g2], 0)
+    assert light(bad.table, g1) and not light(bad.table, g2)
+    with pytest.raises(CatalogError, match=r"associativity fails at \(.*, g2, .*\)"):
+        bad._validate(1)
+
+    c3 = by_name(3)["C3"]
+    bad = corrupted(c3, [1, 1, 2, 2], [1, 2, 1, 2], [0, 2, 2, 0])
+    t = bad.table
+    assert light(t, 1) and t[t[2, 2], 1] != t[2, t[2, 1]]
+    with pytest.raises(CatalogError, match=r"normal form of g1\^2 does not"):
+        bad._validate(1)
+
+
+def test_light_test_rejects_every_non_associative_table():
+    """Single corrupted entries of every group up to order 27: whenever the
+    corrupted table has an identity but is not associative (checked on all
+    order^3 triples), validation must fail."""
+    rng = random.Random(5)
+    rejected = 0
+    for g in all_groups():
+        if g.order > 27:
+            continue
+        elems = np.arange(g.order)
+        for _ in range(40):
+            x, y = rng.randrange(1, g.order), rng.randrange(1, g.order)
+            value = (g.table[x, y] + rng.randrange(1, g.order)) % g.order
+            bad = corrupted(g, x, y, value)
+            t = bad.table
+            assert np.array_equal(t[0], elems) and np.array_equal(t[:, 0], elems)
+            if not np.array_equal(t[t], t[:, t]):
+                with pytest.raises(CatalogError):
+                    bad._validate(1)
+                rejected += 1
+    assert rejected > 1000
+
+
 def test_confluence_checks_pass():
     for p in (2, 3, 5):
         for g in builtin_catalog(p):

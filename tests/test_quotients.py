@@ -20,6 +20,7 @@ from rosegbs.quotients import (
     Verdict,
     _unit_subgroup_order,
     evaluate_word_bulk,
+    evaluate_words,
     hom_arrays,
     holomorph_quotient,
     membership_verdict,
@@ -202,7 +203,7 @@ def test_targets_match_scalar_reference(case):
     oracle = QuotientOracle(pr, p, Budget(max_order=REF_MAX_ORDER[p], s_max=6))
     witnesses = []
     for target in oracle.targets:
-        witness = target.separate(w)
+        (witness,) = target.separate([w])
         witnesses.append(witness)
         if isinstance(target, CatalogHoms):
             g = target.group
@@ -247,11 +248,11 @@ def test_zero_exponent_sums_skip_abelian_evaluation(monkeypatch):
     zero, so separate() must answer without evaluating it."""
     evaluated = []
 
-    def counting(w, *args):
-        evaluated.append(w)
-        return evaluate_word_bulk(w, *args)
+    def counting(words, *args):
+        evaluated.extend(words)
+        return evaluate_words(words, *args)
 
-    monkeypatch.setattr("rosegbs.quotients.evaluate_word_bulk", counting)
+    monkeypatch.setattr("rosegbs.quotients.evaluate_words", counting)
     pr = pres((3, 1), (5, 1))
     words = [
         parse_word(text, pr)
@@ -259,15 +260,21 @@ def test_zero_exponent_sums_skip_abelian_evaluation(monkeypatch):
                      "t2 t1^3 a t2^-1 t1^-3 a^-1",
                      "t1 t2 t1^-1 t2^-1 a^7 t1 a^-7 t1^-1")
     ]
+    assert all(w.abelianised == Word() for w in words)
     for p in (2, 3):
         oracle = QuotientOracle(pr, p, Budget(max_order=27, s_max=0))
         abelian = [t for t in oracle.targets if t.group.is_abelian]
         assert len(abelian) >= 3
-        for w in words:
-            assert w.abelianised == Word()
-            assert all(t.separate(w) is None for t in abelian)
-    assert evaluated == []
-    assert abelian[0].separate(generator(1)) is not None and evaluated
+        for t in abelian:
+            assert t.separate(words) == [None] * len(words)
+            assert t.separate(words[:1]) == [None]
+        assert evaluated == []
+    # the counter sees the batched path: only the non-zero-sum words reach it
+    t1, t1_sq = generator(1), generator(1, 2)
+    witnesses = abelian[0].separate([words[0], t1, words[1], t1_sq])
+    assert abelian[0].group.name == "C3"
+    assert [x is None for x in witnesses] == [True, False, True, False]
+    assert evaluated == [t1, t1_sq]
 
 
 # --- differential test: reduced oracle against the full sweep -----------------------
@@ -313,7 +320,7 @@ def full_sweep_verdict(oracle, w):
             continue
         tested += hq.homs
         max_order = max(max_order, hq.order)
-        witness = hq.separate(w)
+        (witness,) = hq.separate([w])
         if witness is not None:
             return Verdict(w, True, tested, max_order, witness)
     return Verdict(w, False, tested, max_order)
@@ -446,9 +453,118 @@ def test_reduced_evaluation_matches_unreduced(case, seed):
         assert np.array_equal(
             evaluate_word_bulk(reduced, g, target.a_img, target.t_imgs), images
         )
-        assert target.separate(w) == first_hit_witness(
+        assert target.separate([w]) == [first_hit_witness(
             g, target.a_img, target.t_imgs, images
-        )
+        )]
+
+
+# --- one pass per phase: batched verdicts ------------------------------------------
+
+
+@st.composite
+def oracle_batches(draw):
+    """oracle_cases' presentation and catalog, and a batch of words with
+    repeats, drawn from: its word, that word with every exponent sum
+    cancelled, a^(p^4) and a^VANISHING, which every catalog group up to order
+    16 / 27 kills (only a holomorph can separate them), a word of letters
+    g^(k VANISHING), which reduces to the empty word, the empty word and t_1."""
+    p, pr, w, groups = draw(oracle_cases())
+    pool = [
+        w,
+        w * Word(tuple((g, -e) for g, e in w.abelianised.letters)),
+        generator(0, p**4),
+        generator(0, VANISHING),
+        reduce([(g, k * VANISHING) for g, k in
+                draw(st.lists(st.tuples(st.integers(0, pr.r), st.integers(1, 3)),
+                              min_size=1, max_size=4))]),
+        Word(),
+        generator(1),
+    ]
+    return p, pr, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)), groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_batches())
+def test_verdicts_match_per_word_and_full_sweep(case):
+    p, pr, words, groups = case
+    budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=6)
+    oracle = QuotientOracle(pr, p, budget, groups)
+    got = oracle.verdicts(words)
+    assert [v.word for v in got] == words
+    for w, v in zip(words, got):
+        assert v == QuotientOracle(pr, p, budget, groups).verdict(w)
+        assert v == full_sweep_verdict(oracle, w)
+    again = oracle.verdicts(words[::-1])
+    assert all(x is y for x, y in zip(again, got[::-1]))
+
+
+def test_verdicts_batch_mixes_target_kinds():
+    """Under t a t^-1 = a^3 at p = 2, one batch holds words separated first by
+    an abelian target (t), by a non-abelian one ([a, t] = a^-2), only by a
+    holomorph (a^16 = a^VANISHING in every catalog group up to order 16, and
+    t^2 a t^-2 a^-1 = a^8), or by none (the relator, the empty word)."""
+    pr = pres((1, 3))
+    budget = Budget(max_order=16, s_max=6)
+    oracle = QuotientOracle(pr, 2, budget)
+    texts = ["t1", "a t1 a^-1 t1^-1", "a^16", "t1 a t1^-1 a^-3", "t1",
+             f"a^{VANISHING}", "t1^2 a t1^-2 a^-1", "a^16", "a t1 a^-1 t1^-1"]
+    words = [parse_word(text, pr) for text in texts] + [Word()]
+    got = oracle.verdicts(words)
+    assert [v.witness and v.witness["target"] for v in got] == [
+        "C2", "D8", "holomorph(s=5)", None, "C2", "holomorph(s=5)",
+        "holomorph(s=4)", "holomorph(s=5)", "D8", None,
+    ]
+    for w, v in zip(words, got):
+        assert v == QuotientOracle(pr, 2, budget).verdict(w)
+        assert v == full_sweep_verdict(oracle, w)
+
+
+@pytest.mark.parametrize("block", [1, 200, 2000])
+def test_eval_blocks_do_not_matter(monkeypatch, block):
+    """Any block size gives the witnesses of the default one.  At 1 every
+    word is evaluated alone, one hom at a time; at 200 and 2000 the abelian
+    targets take chunks of up to 9 and 12 words, and He3 (1,042
+    representatives) and M27 (5,283) one word at a time in several blocks."""
+    pr = pres((3, 3), (2, 5), (9, 9))
+    rng = random.Random(3)
+    words = [
+        reduce([(rng.randrange(4), rng.choice([-4, -2, -1, 1, 2, 3]))
+                for _ in range(rng.randrange(1, 9))])
+        for _ in range(12)
+    ]
+    words += [w * Word(tuple((g, -e) for g, e in w.abelianised.letters))
+              for w in words[:6]]
+    budget = Budget(max_order=27, s_max=0)
+    oracle = QuotientOracle(pr, 3, budget)
+    whole = [t.separate(words) for t in oracle.targets]
+    verdicts = oracle.verdicts(words)
+    assert [t.imgs.shape[1] for t in oracle.targets][-2:] == [1042, 5283]
+    assert len({str(w) for ws in whole for w in ws}) > 5  # varied witnesses
+    monkeypatch.setattr("rosegbs.quotients._EVAL_BLOCK", block)
+    assert [t.separate(words) for t in oracle.targets] == whole
+    assert QuotientOracle(pr, 3, budget).verdicts(words) == verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MOD_E_PRESENTATIONS).flatmap(
+        lambda pr: st.tuples(st.just(pr), st.lists(words_mod_exponent(pr.r), max_size=6))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_evaluate_words_rows_match_per_word(case, seed):
+    """Row k of evaluate_words is PcGroup.evaluate of word k, for unreduced
+    words (exponents up to 10^30, words that reduce to the empty word, the
+    empty word itself) in any order of lengths."""
+    pr, words = case
+    words = words + [Word()]
+    rng = np.random.default_rng(seed)
+    for g in mod_e_groups()[:6]:
+        imgs = rng.integers(0, g.order, size=(pr.r + 1, 16))
+        want = [np.broadcast_to(g.evaluate(w.letters, imgs), (16,)) for w in words]
+        assert np.array_equal(evaluate_words(words, g, imgs), np.stack(want))
+        for w, row in zip(words, want):
+            assert np.array_equal(evaluate_word_bulk(w, g, imgs[0], imgs[1:]), row)
 
 
 # --- verdict memo --------------------------------------------------------------
@@ -470,13 +586,17 @@ def test_verdict_memo_is_transparent_in_verify(monkeypatch):
     words = [c.word for c in memoised.checks]
     assert memoised.classification.case == Case.TWO
     assert len(set(words)) < len(words)  # the alternates repeat words
-    verdict = QuotientOracle.verdict
+    verdicts = QuotientOracle.verdicts
+    calls = []
 
-    def fresh_verdict(self, w):
-        return verdict(QuotientOracle(self.pres, self.p, self.budget, self.groups), w)
+    def fresh_verdicts(self, words):
+        calls.append(len(words))
+        return [verdicts(QuotientOracle(self.pres, self.p, self.budget, self.groups), [w])[0]
+                for w in words]
 
-    monkeypatch.setattr(QuotientOracle, "verdict", fresh_verdict)
+    monkeypatch.setattr(QuotientOracle, "verdicts", fresh_verdicts)
     assert verify_theorem(pr, 2, bounds) == memoised
+    assert sum(calls) == len(words)  # every check went through the patch
 
 
 def test_verdict_memo_per_oracle():
