@@ -225,7 +225,8 @@ def evaluate_words(
     columns = itertools.zip_longest(*(words[k].letters for k in order))
     gens, exps = zip(*(x for col in columns for x in col if x is not None))
     e, n, table = group.exponent, group.order, group.table.ravel()
-    x = group.powers_of(imgs[np.array(gens)], np.array([k % e for k in exps])[:, None])
+    offsets = np.array([k % e for k in exps], dtype=np.int32)[:, None]
+    x = group.powers_of(imgs[np.array(gens)], offsets)
     acc = x[:live]  # the first letters; their rows of x are not read again
     start = live
     for position in range(1, lengths[0]):
@@ -253,9 +254,11 @@ def evaluate_word_bulk(
     return evaluate_words([w], group, np.stack([a_img, *t_imgs]))[0]
 
 
-#: Letter images per evaluate_words call in CatalogHoms.separate: 1 MB of
-#: int32 codes.
-_EVAL_BLOCK = 2**18
+#: Letter images per evaluate_words call on several words in
+#: CatalogHoms.separate: 32 KB of int32 codes, so that the call's few
+#: transient arrays stay small beside the process (at 2^18, 1 MB, they raised
+#: the benchmark's peak RSS by 4.6 MB).
+_EVAL_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -273,14 +276,6 @@ class CatalogHoms:
     @property
     def order(self) -> int:
         return self.group.order
-
-    @property
-    def a_img(self) -> np.ndarray:
-        return self.imgs[0]
-
-    @property
-    def t_imgs(self) -> np.ndarray:
-        return self.imgs[1:]
 
     def separate(self, words: Sequence[Word]) -> list[Optional[dict]]:
         """Per word, the witness for the first hom (in lexicographic order)
@@ -302,37 +297,25 @@ class CatalogHoms:
             if not w.letters:
                 continue
             if chunk and letters + len(w.letters) > cap:
-                self._first_hits(chunk, letters, out)
+                self._first_hits(chunk, out)
                 chunk, letters = [], 0
             chunk.append((k, w))
             letters += len(w.letters)
         if chunk:
-            self._first_hits(chunk, letters, out)
+            self._first_hits(chunk, out)
         return out
 
-    def _first_hits(self, live: list[tuple[int, Word]], letters: int, out: list) -> None:
-        """Set out[k] to the witness of each separated (k, word) of live, for
-        words of `letters` letters in all: the representatives are walked in
-        blocks of _EVAL_BLOCK letter images (at least one hom), and a word
-        leaves at its first block with a hit."""
-        lo = 0
-        while live and lo < self.imgs.shape[1]:
-            step = max(1, _EVAL_BLOCK // letters)
-            images = evaluate_words(
-                [w for _, w in live], self.group, self.imgs[:, lo:lo + step]
-            )
-            if np.count_nonzero(images):
-                first = (images != 0).argmax(axis=1)
-                hits = images[np.arange(len(live)), first].tolist()
-                rest = []
-                for (k, w), i, image in zip(live, first.tolist(), hits):
-                    if image:
-                        out[k] = self._witness(lo + i, image)
-                    else:
-                        rest.append((k, w))
-                live = rest
-                letters = sum(len(w.letters) for _, w in live)
-            lo += step
+    def _first_hits(self, chunk: list[tuple[int, Word]], out: list) -> None:
+        """Set out[k] to the witness of each (k, word) of chunk that some
+        representative does not kill."""
+        images = evaluate_words([w for _, w in chunk], self.group, self.imgs)
+        if not np.count_nonzero(images):
+            return
+        first = (images != 0).argmax(axis=1)
+        hits = images[np.arange(len(chunk)), first].tolist()
+        for (k, _), i, image in zip(chunk, first.tolist(), hits):
+            if image:
+                out[k] = self._witness(i, image)
 
     def _witness(self, i: int, image: int) -> dict:
         g = self.group

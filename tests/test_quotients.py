@@ -214,7 +214,7 @@ def test_targets_match_scalar_reference(case):
                 want = ref_axis_homs(homs)
             else:
                 want = ref_orbit_least(g, homs)
-            assert as_homs(target.a_img, target.t_imgs) == want
+            assert as_homs(target.imgs[0], target.imgs[1:]) == want
             first = next(
                 (
                     (a, ts, image)
@@ -447,14 +447,14 @@ def test_reduced_evaluation_matches_unreduced(case, seed):
         target = representatives(pr, g)
         # the trivial-Aut extras at r = 2 have 0.5-1.3 M representatives:
         # the random image arrays above cover them
-        if target is None or len(target.a_img) > 2**16:
+        if target is None or target.imgs.shape[1] > 2**16:
             continue
-        images = evaluate_word_bulk(w, g, target.a_img, target.t_imgs)
+        images = evaluate_word_bulk(w, g, target.imgs[0], target.imgs[1:])
         assert np.array_equal(
-            evaluate_word_bulk(reduced, g, target.a_img, target.t_imgs), images
+            evaluate_word_bulk(reduced, g, target.imgs[0], target.imgs[1:]), images
         )
         assert target.separate([w]) == [first_hit_witness(
-            g, target.a_img, target.t_imgs, images
+            g, target.imgs[0], target.imgs[1:], images
         )]
 
 
@@ -521,10 +521,11 @@ def test_verdicts_batch_mixes_target_kinds():
 
 @pytest.mark.parametrize("block", [1, 200, 2000])
 def test_eval_blocks_do_not_matter(monkeypatch, block):
-    """Any block size gives the witnesses of the default one.  At 1 every
-    word is evaluated alone, one hom at a time; at 200 and 2000 the abelian
-    targets take chunks of up to 9 and 12 words, and He3 (1,042
-    representatives) and M27 (5,283) one word at a time in several blocks."""
+    """Any block size gives the witnesses of the default one, and a call on
+    several words stays within the block.  At 1 every word is evaluated
+    alone; at 200 and 2000 the abelian targets take chunks of up to 9 and 12
+    words, and He3 (1,042 representatives) and M27 (5,283) one word at a
+    time."""
     pr = pres((3, 3), (2, 5), (9, 9))
     rng = random.Random(3)
     words = [
@@ -540,9 +541,18 @@ def test_eval_blocks_do_not_matter(monkeypatch, block):
     verdicts = oracle.verdicts(words)
     assert [t.imgs.shape[1] for t in oracle.targets][-2:] == [1042, 5283]
     assert len({str(w) for ws in whole for w in ws}) > 5  # varied witnesses
+    calls = []
+
+    def recording(words, group, imgs):
+        calls.append((len(words), sum(len(w.letters) for w in words) * imgs.shape[1]))
+        return evaluate_words(words, group, imgs)
+
     monkeypatch.setattr("rosegbs.quotients._EVAL_BLOCK", block)
+    monkeypatch.setattr("rosegbs.quotients.evaluate_words", recording)
     assert [t.separate(words) for t in oracle.targets] == whole
     assert QuotientOracle(pr, 3, budget).verdicts(words) == verdicts
+    assert all(images <= block for k, images in calls if k > 1)
+    assert max(k for k, _ in calls) == {1: 1, 200: 9, 2000: 12}[block]
 
 
 @settings(max_examples=60, deadline=None)
@@ -622,7 +632,7 @@ def test_orbit_homs_match_brute_force():
             (x, (y,)) for x, y in itertools.product(range(g.order), repeat=2)
             if (x, y) == min((int(a[x]), int(a[y])) for a in g.automorphisms)
         ]
-        assert as_homs(target.a_img, target.t_imgs) == least
+        assert as_homs(target.imgs[0], target.imgs[1:]) == least
 
 
 def burnside_orbits(g, k):
@@ -644,8 +654,8 @@ def test_orbit_homs_count_burnside():
             for r in (2, 3):
                 target = orbit_homs(pres(*[(p**4, p**4)] * r), g)
                 assert target.homs == g.order ** (r + 1)
-                assert len(target.a_img) == burnside_orbits(g, r + 1), (g.name, r)
-                counts[g.name, r] = len(target.a_img)
+                assert target.imgs.shape[1] == burnside_orbits(g, r + 1), (g.name, r)
+                counts[g.name, r] = target.imgs.shape[1]
     assert counts["He5", 2] == 404 and counts["He5", 3] == 25_299
     assert counts["M125", 2] == 5_395 and counts["M125", 3] == 523_225
 
@@ -656,14 +666,13 @@ def test_orbit_homs_blocks_do_not_matter(monkeypatch):
     whole = orbit_homs(pr, g)
     monkeypatch.setattr("rosegbs.quotients._BLOCK", 2 * g.order)  # 2 rows a block
     blocks = orbit_homs(pr, g)
-    assert whole.homs == blocks.homs and len(whole.a_img) > 100
-    assert np.array_equal(whole.a_img, blocks.a_img)
-    assert all(map(np.array_equal, whole.t_imgs, blocks.t_imgs))
+    assert whole.homs == blocks.homs and whole.imgs.shape[1] > 100
+    assert np.array_equal(whole.imgs, blocks.imgs)
 
 
 def test_orbit_homs_over_the_budget(monkeypatch):
     g = by_name(2)["D8"]
-    codes = 2 * len(orbit_homs(pres((16, 16)), g).a_img)
+    codes = 2 * orbit_homs(pres((16, 16)), g).imgs.shape[1]
     monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes)
     assert orbit_homs(pres((16, 16)), g) is not None
     monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes - 1)
