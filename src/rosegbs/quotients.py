@@ -222,11 +222,11 @@ def evaluate_words(
     live = len(lengths) - lengths.count(0)
     if not live:
         return np.zeros((len(words), imgs.shape[1]), dtype=np.int32)
-    columns = itertools.zip_longest(*(words[k].letters for k in order))
-    gens, exps = zip(*(x for col in columns for x in col if x is not None))
+    columns = itertools.zip_longest(*[words[k].letters for k in order])
+    packed = [x for col in columns for x in col if x is not None]
     e, n, table = group.exponent, group.order, group.table.ravel()
-    offsets = np.array([k % e for k in exps], dtype=np.int32)[:, None]
-    x = group.powers_of(imgs[np.array(gens)], offsets)
+    offsets = np.array([k % e for _, k in packed], dtype=np.int32)[:, None]
+    x = group.powers_of(imgs[np.array([g for g, _ in packed])], offsets)
     acc = x[:live]  # the first letters; their rows of x are not read again
     start = live
     for position in range(1, lengths[0]):
