@@ -265,11 +265,12 @@ class PcGroup:
         that generates the table's magma, the magma is associative.  The set T
         of such s contains A and is closed under the product: for s, u in T,
         (x (s u)) y = ((x s) u) y = (x s) (u y) = x (s (u y)) = x ((s u) y).
-        So T holds every product of generators.  A is the pc generators, and
-        they generate the table: the left fold of every normal form
-        g_1^(e_1) .. g_n^(e_n) through the table is checked to give back its
-        code.  That is order^2 gathers per generator, not order^3.  Above the
-        limit, 20000 random triples are checked.
+        So T holds every product of generators, and the identity, by the
+        identity axiom.  A is the pc generators, and they generate the table:
+        the left fold of every normal form g_1^(e_1) .. g_n^(e_n) through the
+        table is checked to give back its code.  That is order^2 gathers per
+        generator, not order^3.  Above the limit, 20000 random triples are
+        checked.
         """
         t = self.table
         n = self.order

@@ -97,10 +97,9 @@ position, and each row is still the left fold of its own letters.  The first
 nonzero entry of the row is therefore the same representative, with the same
 word_image, and the first separating target, homs_tested (the homs of the
 targets up to it), max_order and the witness are those of the per-word sweep.
-A call takes at most _EVAL_BLOCK letter images: the batch is cut into chunks
-of whole words and a word too long for that walks the representatives in
-blocks; a word's first hit lies in the first block where its row has a
-nonzero entry, so neither cut changes it.
+The batch goes to evaluate_words in chunks of whole words (at most
+_EVAL_BLOCK letter images a call), and cutting a batch leaves each word's row
+as it is.
 
 Verdicts are memoised per word for the oracle's lifetime.  The targets,
 their order and their homs are fixed by the presentation, p, the budget and
@@ -257,7 +256,7 @@ def evaluate_word_bulk(
 #: Letter images per evaluate_words call on several words in
 #: CatalogHoms.separate: 32 KB of int32 codes, so that the call's few
 #: transient arrays stay small beside the process (at 2^18, 1 MB, they raised
-#: the benchmark's peak RSS by 4.6 MB).
+#: the battery workload's peak RSS from 44.8 to 49.4 MB).
 _EVAL_BLOCK = 2**13
 
 
@@ -289,18 +288,17 @@ class CatalogHoms:
         on a target with many representatives, where per-call costs do not
         count, each word is evaluated alone."""
         g, e = self.group, self.group.exponent
-        cap = _EVAL_BLOCK // self.imgs.shape[1]
         out: list[Optional[dict]] = [None] * len(words)
         chunk, letters = [], 0
         for k, w in enumerate(words):
             w = (w.abelianised if g.is_abelian else w).reduced_mod(e)
             if not w.letters:
                 continue
-            if chunk and letters + len(w.letters) > cap:
-                self._first_hits(chunk, out)
-                chunk, letters = [], 0
-            chunk.append((k, w))
             letters += len(w.letters)
+            if chunk and letters * self.imgs.shape[1] > _EVAL_BLOCK:
+                self._first_hits(chunk, out)
+                chunk, letters = [], len(w.letters)
+            chunk.append((k, w))
         if chunk:
             self._first_hits(chunk, out)
         return out
@@ -350,14 +348,14 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
     tables = loop_tables(pres, group)
     homs = sum(math.prod(c) for c in zip(*(ok.sum(axis=1).tolist() for ok in tables)))
     step = max(1, _BLOCK // n)
-    prefix = np.zeros((0, 1), dtype=np.int32)  # one empty prefix, a column
+    prefix: list[np.ndarray] = []
     stab = np.zeros(1, dtype=np.int32)
     for level in range(r + 1):
         rows, xs, count = [], [], 0
         for lo in range(0, len(stab), step):
             mask = chain.least[stab[lo:lo + step]]
             if level:
-                mask = mask & tables[level - 1][prefix[0, lo:lo + step]]
+                mask = mask & tables[level - 1][prefix[0][lo:lo + step]]
             count += np.count_nonzero(mask)
             if count * (r + 1) > MAX_ASSIGNMENTS:
                 return None
@@ -365,14 +363,17 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
             rows.append(row + lo)
             xs.append(x.astype(np.int32))
         row = np.concatenate(rows)
-        grown = np.empty((level + 1, len(row)), dtype=np.int32)
-        # mode="clip" (the rows are in range) writes to out without a buffer
-        np.take(prefix, row, axis=1, out=grown[:level], mode="clip")
-        np.concatenate(xs, out=grown[level])
-        prefix = grown
-        if level < r:
-            stab = chain.stabilisers(stab[row], prefix[-1])
-    return CatalogHoms(group, prefix, homs)
+        if level == r:
+            break
+        prefix = [c[row] for c in prefix] + [np.concatenate(xs)]
+        stab = chain.stabilisers(stab[row], prefix[-1])
+    # the last level is written straight into the target's image rows;
+    # mode="clip" (every row is in range) lets take write to out unbuffered
+    imgs = np.empty((r + 1, len(row)), dtype=np.int32)
+    for c, out in zip(prefix, imgs):
+        np.take(c, row, out=out, mode="clip")
+    np.concatenate(xs, out=imgs[r])
+    return CatalogHoms(group, imgs, homs)
 
 
 # --- holomorph quotients ------------------------------------------------------
