@@ -65,7 +65,6 @@ from .presentation import (
     parse_word,
     print_word,
     reduce,
-    word,
 )
 from .quotients import (
     Budget,
@@ -75,7 +74,6 @@ from .quotients import (
     Verdict,
     VerifyReport,
     holomorph_quotient,
-    membership_verdict,
     verify_theorem,
 )
 

@@ -348,7 +348,7 @@ def _cmd_catalog_validate(args) -> int:
             f"--confluence-words must be >= 0, got {args.confluence_words}"
         )
     try:
-        groups = load_catalog(args.path, validation_seed=args.seed)
+        groups = load_catalog(args.path)
         entries = []
         for g in groups:
             checked = random_confluence_check(g, args.confluence_words, args.seed)
@@ -361,8 +361,6 @@ def _cmd_catalog_validate(args) -> int:
                     "confluence_words": checked,
                 }
             )
-    except FileNotFoundError as exc:
-        raise PresentationError(str(exc)) from exc
     except CatalogError as exc:
         report = {
             "command": "catalog-validate",

@@ -18,10 +18,9 @@ with a p-overflow absorbed through the collected value of g_L^p.  Each level
 is built on int32 arrays: psi is folded one tail generator at a time over
 the exponent digits of all codes, and the level table is one gather of the
 level below.  The construction is a definition, not a proof: load-time
-validation checks the group axioms (associativity proved by Light's test up
-to order 128, sampled above; see PcGroup._validate) and re-checks every
-presented relation against the finished table, rejecting any inconsistent
-presentation.
+validation checks the group axioms (associativity proved by Light's test at
+every order; see PcGroup._validate) and re-checks every presented relation
+against the finished table, rejecting any inconsistent presentation.
 
 A finished group evaluates words in one place, PcGroup.evaluate: the left
 fold acc = acc x^e of table gathers over the power maps, on codes or on
@@ -40,7 +39,7 @@ The catalog file format (line-oriented, '#' comments):
 
 where <word> is a space-separated product like ``g3^2 g4`` (and ``1`` for
 the empty word).  Groups of order above MAX_ORDER = 2^11 are refused before
-any table is built; one of order 2^11 loads in about 0.15 s with 69 MB
+any table is built; one of order 2^11 loads in about 0.23 s with 69 MB
 peak RSS, of which its power maps (PcGroup.powers) take 16 KB.
 
 ``catalog-validate`` adds a normal-form consistency test for pc
@@ -68,14 +67,12 @@ from .numtheory import is_prime
 
 PcWord = tuple[tuple[int, int], ...]  # ((generator 1-based, exponent), ...)
 
-#: Orders up to which associativity is proved at load (Light's test).
-EXHAUSTIVE_ORDER_LIMIT = 128
-
 #: Hard cap on the order of a loadable group, the largest order measured:
 #: the table is quadratic in the order (16 MB at 2^11, and the power maps
-#: too for a cyclic group), and a group of order 2^11 loads in about 0.15 s
-#: (0.2 s cyclic) with 69-71 MB peak RSS (2-core Xeon VM, numpy 2.4); order
-#: 2^12 would need about four times both.
+#: too for a cyclic group), and a group of order 2^11 loads in about 0.23 s
+#: (0.37 s cyclic) with 69-71 MB peak RSS, of which Light's test takes about
+#: 0.13 s (2-core Xeon VM, numpy 2.4); order 2^12 would need about four times
+#: both.
 MAX_ORDER = 2**11
 
 #: Cap on the element codes of one exhaustive sweep: the order**ngens images
@@ -83,6 +80,10 @@ MAX_ORDER = 2**11
 #: hom sweep (quotients.hom_arrays), and r + 1 codes per orbit representative
 #: of a non-abelian catalog target.
 MAX_ASSIGNMENTS = 2**24
+
+#: Table entries compared at once by Light's test in PcGroup._validate
+#: (512 KB of int32 per side).
+_LIGHT_BLOCK = 2**17
 
 
 class CatalogError(ValueError):
@@ -150,7 +151,7 @@ class PcGroup:
     sum(e_i * p^(n-i)) corresponds to the normal form g_1^(e_1)..g_n^(e_n).
     """
 
-    def __init__(self, pres: PcPresentation, *, validation_seed: int = 1729):
+    def __init__(self, pres: PcPresentation):
         pres.validate_shape()
         self.name = pres.name
         self.p = pres.p
@@ -160,7 +161,7 @@ class PcGroup:
         self.table = self._build_table(pres)
         self.inv = self._build_inverses()
         self._powers = self._build_powers()
-        self._validate(validation_seed)
+        self._validate()
 
     # -- construction --------------------------------------------------------
 
@@ -255,62 +256,55 @@ class PcGroup:
 
     # -- validation -----------------------------------------------------------
 
-    def _validate(self, seed: int) -> None:
+    def _validate(self) -> None:
         """Check the identity axiom, associativity and the presented relations
         on the finished table; raise CatalogError at the first failure.
 
-        Up to EXHAUSTIVE_ORDER_LIMIT, associativity is proved by Light's test
-        (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
-        section 1.2): if (x s) y = x (s y) for all x, y and every s in a set A
-        that generates the table's magma, the magma is associative.  The set T
-        of such s contains A and is closed under the product: for s, u in T,
+        Associativity is proved by Light's test (Clifford & Preston, The
+        Algebraic Theory of Semigroups I, 1961, section 1.2): if (x s) y =
+        x (s y) for all x, y and every s in a set A that generates the
+        table's magma, the magma is associative.  The set T of such s
+        contains A and is closed under the product: for s, u in T,
         (x (s u)) y = ((x s) u) y = (x s) (u y) = x (s (u y)) = x ((s u) y).
         So T holds every product of generators, and the identity, by the
         identity axiom.  A is the pc generators, and they generate the table:
         the left fold of every normal form g_1^(e_1) .. g_n^(e_n) through the
         table is checked to give back its code.  That is order^2 gathers per
-        generator, not order^3.  Above the limit, 20000 random triples are
-        checked.
+        generator, not order^3, compared in row blocks of at most _LIGHT_BLOCK
+        entries (the whole table at once up to order 256), generator by
+        generator and block by block in row order: the failure reported is the
+        first in the order of (s, x, y).
         """
         t = self.table
         n = self.order
         elems = np.arange(n)
         if not (np.all(t[0] == elems) and np.all(t[:, 0] == elems)):
             raise CatalogError(f"group {self.name}: identity axiom fails")
-        if n <= EXHAUSTIVE_ORDER_LIMIT:
-            gens = [self.generator_code(i) for i in range(1, self.ngens + 1)]
-            fold = np.zeros(n, dtype=np.int32)
-            for s in gens:
-                digit = elems // s % self.p
-                for e in range(1, self.p):
-                    fold = np.where(digit >= e, t[fold, s], fold)
-            if not np.array_equal(fold, elems):
-                x = int(np.flatnonzero(fold != elems)[0])
-                raise CatalogError(
-                    f"group {self.name}: the normal form of {self.element_str(x)}"
-                    " does not multiply out to it"
-                )
-            for s in gens:
-                left = t[t[:, s]]  # left[x, y] = (x s) y
-                right = t[:, t[s]]  # right[x, y] = x (s y)
+        gens = [self.generator_code(i) for i in range(1, self.ngens + 1)]
+        fold = np.zeros(n, dtype=np.int32)
+        for s in gens:
+            digit = elems // s % self.p
+            for e in range(1, self.p):
+                fold = np.where(digit >= e, t[fold, s], fold)
+        if not np.array_equal(fold, elems):
+            x = int(np.flatnonzero(fold != elems)[0])
+            raise CatalogError(
+                f"group {self.name}: the normal form of {self.element_str(x)}"
+                " does not multiply out to it"
+            )
+        rows = _LIGHT_BLOCK // n  # at least 64, as n <= MAX_ORDER
+        for s in gens:
+            for lo in range(0, n, rows):
+                left = t.take(t[lo:lo + rows, s], axis=0)  # left[x, y] = (x s) y
+                right = t[lo:lo + rows].take(t[s], axis=1)  # right[x, y] = x (s y)
                 if np.array_equal(left, right):
                     continue
                 x, y = np.argwhere(left != right)[0]
                 raise CatalogError(
                     f"group {self.name}: associativity fails at "
-                    f"({self.element_str(x)}, {self.element_str(s)},"
+                    f"({self.element_str(lo + x)}, {self.element_str(s)},"
                     f" {self.element_str(y)})"
                 )
-        else:
-            rng = random.Random(seed)
-            for _ in range(20000):
-                x, y, z = (rng.randrange(n) for _ in range(3))
-                if t[t[x, y], z] != t[x, t[y, z]]:
-                    raise CatalogError(
-                        f"group {self.name}: associativity fails at "
-                        f"({self.element_str(x)}, {self.element_str(y)},"
-                        f" {self.element_str(z)})"
-                    )
         self._check_relations()
 
     def _relations(self) -> list[tuple[str, PcWord, PcWord]]:
@@ -396,9 +390,6 @@ class PcGroup:
         """x^e elementwise for arrays of codes x and of exponents
         0 <= e < exponent, broadcast against each other."""
         return self._powers.ravel().take(exps * self.order + codes)
-
-    def power(self, x: int, e: int) -> int:
-        return int(self.powers(e)[x])
 
     def evaluate(self, letters: Iterable[tuple[int, int]], images: Sequence):
         """Image of the word prod g^e over its (g, e) letters when each g maps
@@ -555,18 +546,17 @@ def parse_catalog(text: str) -> list[PcPresentation]:
     return out
 
 
-def load_catalog_text(text: str, *, validation_seed: int = 1729) -> list[PcGroup]:
-    groups = [PcGroup(pres, validation_seed=validation_seed)
-              for pres in parse_catalog(text)]
+def load_catalog_text(text: str) -> list[PcGroup]:
+    groups = [PcGroup(pres) for pres in parse_catalog(text)]
     if not groups:
         warnings.warn("catalog is empty", stacklevel=2)
     return groups
 
 
-def load_catalog(path: str, *, validation_seed: int = 1729) -> list[PcGroup]:
+def load_catalog(path: str) -> list[PcGroup]:
     """Load and validate a catalog file; every group must pass the axiom checks."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_catalog_text(fh.read(), validation_seed=validation_seed)
+        return load_catalog_text(fh.read())
 
 
 #: Longest word drawn by random_confluence_check.

@@ -154,11 +154,6 @@ def reduce(letters: Iterable[Letter], modulus: int = 0) -> Word:
     return Word(tuple(stack))
 
 
-def word(letters: Iterable[Letter]) -> Word:
-    """Build a Word from an arbitrary (possibly unreduced) letter sequence."""
-    return reduce(letters)
-
-
 def generator(gen: GenIndex, exp: int = 1) -> Word:
     return reduce([(gen, exp)])
 

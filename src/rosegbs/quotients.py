@@ -628,17 +628,6 @@ class QuotientOracle:
         return [self._verdicts[w] for w in words]
 
 
-def membership_verdict(
-    w: Word,
-    pres: RoseGbs,
-    p: int,
-    budget: Budget = Budget(),
-    catalog: Optional[Sequence[PcGroup]] = None,
-) -> Verdict:
-    """Evaluate w under every budgeted quotient; first separation wins."""
-    return QuotientOracle(pres, p, budget, catalog).verdict(w)
-
-
 # --- whole-theorem verification -------------------------------------------------
 
 

@@ -350,3 +350,8 @@ def test_catalog_validate_rejects_bad(tmp_path, capsys, schema):
 
 def test_catalog_validate_missing_file(capsys):
     assert main(["catalog-validate", "/nonexistent/cat.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: [Errno 2] No such file or directory: '/nonexistent/cat.txt'\n"
+    )

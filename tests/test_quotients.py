@@ -23,7 +23,6 @@ from rosegbs.quotients import (
     evaluate_words,
     hom_arrays,
     holomorph_quotient,
-    membership_verdict,
     orbit_homs,
     verify_theorem,
 )
@@ -50,7 +49,8 @@ def mult(g, x, y):
 def ref_satisfies(p, g, a, ts):
     """Do the images a, ts of (a, t_1..t_r) satisfy every loop relation?"""
     return all(
-        mult(g, mult(g, t, g.power(a, loop.n)), int(g.inv[t])) == g.power(a, loop.m)
+        mult(g, mult(g, t, int(g.powers(loop.n)[a])), int(g.inv[t]))
+        == int(g.powers(loop.m)[a])
         for loop, t in zip(p.loops, ts)
     )
 
@@ -65,7 +65,7 @@ def ref_evaluate(w, g, a, ts):
     """Image of w under a -> a, t_i -> ts[i - 1], by a mult/power fold."""
     acc = 0
     for gen, exp in w.letters:
-        acc = mult(g, acc, g.power(a if gen == 0 else ts[gen - 1], exp))
+        acc = mult(g, acc, int(g.powers(exp)[a if gen == 0 else ts[gen - 1]]))
     return acc
 
 
@@ -615,7 +615,7 @@ def test_verdict_memo_per_oracle():
     small = QuotientOracle(pr, 2, Budget(max_order=0, s_max=0))
     big = QuotientOracle(pr, 2, Budget(max_order=16, s_max=6))
     assert not small.verdict(w).separated
-    assert big.verdict(w) == membership_verdict(w, pr, 2, big.budget)
+    assert big.verdict(w) == QuotientOracle(pr, 2, big.budget).verdict(w)
     assert big.verdict(w).separated and big.verdict(w).homs_tested > 0
 
 
@@ -779,7 +779,7 @@ def test_backend_consistency_cyclic_vs_holomorph():
         )
         pair = hq.evaluate(w)
         assert pair[1] == 1
-        assert ref_evaluate(w, c8, g1, (0,)) == c8.power(g1, pair[0])
+        assert ref_evaluate(w, c8, g1, (0,)) == int(c8.powers(pair[0])[g1])
 
 
 # --- membership verdicts ----------------------------------------------------------
@@ -788,31 +788,31 @@ def test_backend_consistency_cyclic_vs_holomorph():
 def test_membership_defining_relator():
     p = pres((2, 12))
     relator = parse_word("t1 a^2 t1^-1 a^-12", p)
-    v = membership_verdict(relator, p, 2)
+    v = QuotientOracle(p, 2).verdict(relator)
     assert not v.separated and v.homs_tested > 0
 
 
 def test_membership_case1_spec_example():
     p = pres((2, 12))
-    v = membership_verdict(generator(0), p, 2)
+    v = QuotientOracle(p, 2).verdict(generator(0))
     assert v.separated
     assert v.witness["target"] == "C2"
     assert v.witness["image_a"] != "1"
-    v2 = membership_verdict(generator(0, 2), p, 2, Budget(max_order=16, s_max=6))
+    v2 = QuotientOracle(p, 2, Budget(max_order=16, s_max=6)).verdict(generator(0, 2))
     assert not v2.separated
 
 
 def test_membership_deterministic_witness():
     p = pres((2, 12))
-    v1 = membership_verdict(generator(0), p, 2)
-    v2 = membership_verdict(generator(0), p, 2)
+    v1 = QuotientOracle(p, 2).verdict(generator(0))
+    v2 = QuotientOracle(p, 2).verdict(generator(0))
     assert v1.witness == v2.witness
 
 
 def test_membership_monotone_budget():
     p = pres((2, 12))
-    small = membership_verdict(generator(0), p, 2, Budget(max_order=2, s_max=0))
-    big = membership_verdict(generator(0), p, 2, Budget(max_order=16, s_max=6))
+    small = QuotientOracle(p, 2, Budget(max_order=2, s_max=0)).verdict(generator(0))
+    big = QuotientOracle(p, 2, Budget(max_order=16, s_max=6)).verdict(generator(0))
     assert small.separated and big.separated
 
 
