@@ -31,8 +31,6 @@ from .generators import (
     MixedOrder,
     case1_generators,
     case2_generators,
-    family_conjugate_a,
-    family_gamma2,
     family_mixed,
     np_omega_generators,
     serialize_generators,
@@ -51,13 +49,11 @@ from .numtheory import (
 )
 from .pcgroup import CatalogError, PcGroup, builtin_catalog, load_catalog
 from .presentation import (
-    IDENTITY,
     ParseError,
     PresentationError,
     RoseGbs,
     Word,
     commutator,
-    concat,
     conjugate,
     generator,
     invert,

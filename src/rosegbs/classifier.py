@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .numtheory import is_p_power, is_prime, p_valuation
+from .numtheory import is_p_power, p_valuation, require_prime
 from .presentation import RoseGbs, Word, commutator, conjugate, generator, reduce
 
 
@@ -145,8 +145,7 @@ def loop_data(
     pres: RoseGbs, p: int, orientation: Orientation = Orientation.CANONICAL
 ) -> tuple[LoopData, ...]:
     """Compute the per-loop invariants of pres at the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     out = []
     for i, loop in enumerate(pres.loops, 1):
         sigma, m_hat = p_valuation(loop.m, p)

@@ -38,13 +38,12 @@ from .classifier import (
 from .generators import (
     Bounds, GeneratorSet, MixedOrder, np_omega_generators, serialize_generators,
 )
-from .numtheory import is_prime
+from .numtheory import require_prime
 from .pcgroup import CatalogError, load_catalog, random_confluence_check
 from .presentation import ParseError, PresentationError, RoseGbs, parse_presentation
 from .quotients import Budget, VerifyReport, verify_theorem
 
 DEFAULT_SEED = 1729
-MAX_PRIME = 2**31
 
 _ENV_PREFIX = "ROSEGBS_"
 
@@ -61,26 +60,29 @@ class Setting:
     help: Optional[str] = None
 
 
+_BOUNDS, _BUDGET = Bounds(), Budget()  # the library defaults
+
 # keyed by the ROSEGBS_ suffix; the argparse dest is the key in lower case
 SETTINGS = {
     "P": Setting("-p", int, help="the prime p"),
     "FORMAT": Setting("--format", default="text", choices=("text", "json")),
     "SEED": Setting("--seed", int, DEFAULT_SEED, help="seed for randomized checks"),
     "ORIENTATION": Setting(
-        "--orientation", default="canonical",
-        choices=("canonical", "intro-verbatim"),
-        help="which unit part of each loop is u (default: canonical,"
+        "--orientation", default=Orientation.CANONICAL.value,
+        choices=tuple(o.value for o in Orientation),
+        help=f"which unit part of each loop is u (default: {Orientation.CANONICAL},"
         " the conjugated side)",
     ),
     "MIXED_ORDER": Setting(
-        "--mixed-order", default="conjugate", choices=("conjugate", "verbatim"),
+        "--mixed-order", default=MixedOrder.CONJUGATE.value,
+        choices=tuple(o.value for o in MixedOrder),
         help="letter order of the inverse block in the mixed family",
     ),
-    "K_MAX": Setting("--bounds.k-max", int, 2),
-    "COMM_LEN": Setting("--bounds.comm-len", int, 6),
-    "COUNT_LIMIT": Setting("--bounds.count-limit", int, 512),
-    "MAX_ORDER": Setting("--budget.max-order", int, 16),
-    "S_MAX": Setting("--budget.s-max", int, 6),
+    "K_MAX": Setting("--bounds.k-max", int, _BOUNDS.k_max),
+    "COMM_LEN": Setting("--bounds.comm-len", int, _BOUNDS.comm_word_len),
+    "COUNT_LIMIT": Setting("--bounds.count-limit", int, _BOUNDS.count_limit),
+    "MAX_ORDER": Setting("--budget.max-order", int, _BUDGET.max_order),
+    "S_MAX": Setting("--budget.s-max", int, _BUDGET.s_max),
 }
 
 
@@ -90,13 +92,6 @@ def _load_presentation(arg: str) -> RoseGbs:
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_presentation(text)
-
-
-def _check_prime(p: int) -> None:
-    if p > MAX_PRIME:
-        raise ValueError(f"p must be at most 2^31, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 def _emit(report: dict, text: str, fmt: str) -> None:
@@ -462,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _fill_settings(args, keys)
         if "P" in keys:
-            _check_prime(args.p)
+            require_prime(args.p)
             args.pres = _load_presentation(args.presentation)
         return handler(args)
     except CatalogError as exc:

@@ -100,6 +100,9 @@ def _t_prefix(k: tuple[int, ...]) -> Word:
 
 
 def _gamma2(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
+    """[w, a^(p^S)] for bounded basic commutators w = [t_i^e, t_j^f], i < j,
+    and their conjugates under single stable letters, all of letter length
+    at most comm_word_len.  Empty for r = 1."""
     r, max_len = cls.r, bounds.comm_word_len
     a_pow = generator(0, cls.p**cls.sigma_total)
     seen: set[Word] = set()
@@ -128,6 +131,7 @@ def _gamma2(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
 
 
 def _conjugate_a(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
+    """[T a T^(-1), a^(p^S)] over all k vectors with |k_i| <= k_max."""
     a = generator(0)
     a_pow = generator(0, cls.p**cls.sigma_total)
     for k in _k_vectors(cls.r, bounds.k_max):
@@ -155,20 +159,6 @@ def _mixed(
         )
         if not w.is_identity():
             yield GeneratorEntry(w, "mixed", f"k={list(k)}")
-
-
-def family_gamma2(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
-    """[w, a^(p^S)] for bounded basic commutators w = [t_i^e, t_j^f], i < j,
-    and their conjugates under single stable letters, all of letter length
-    at most comm_word_len.  Empty for r = 1."""
-    cls.require_case(Case.TWO)
-    return list(_gamma2(cls, bounds))
-
-
-def family_conjugate_a(cls: Classification, bounds: Bounds) -> list[GeneratorEntry]:
-    """[T a T^(-1), a^(p^S)] over all k vectors with |k_i| <= k_max."""
-    cls.require_case(Case.TWO)
-    return list(_conjugate_a(cls, bounds))
 
 
 def family_mixed(

@@ -21,8 +21,14 @@ class ValuationSplit(NamedTuple):
 DiophantineSolution = tuple
 
 
+#: Largest p the package accepts.  is_prime is trial division, about 23,000
+#: steps at 2**31; at 2**61 - 1 one call would take minutes.
+MAX_PRIME = 2**31
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (exact for n <= 2**31)."""
+    """Deterministic primality by trial division (exact for every n; fast
+    only up to MAX_PRIME, so callers gate p through require_prime)."""
     if n < 2:
         return False
     if n < 4:
@@ -37,7 +43,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """The one prime gate: ValueError unless p is a prime at most MAX_PRIME.
+    The bound is tested before any trial division, so no p takes long."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p must be at most 2^31, got {p}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
@@ -46,7 +56,7 @@ def p_valuation(x: int, p: int) -> ValuationSplit:
     """Split x as p**v * u with p coprime to u; u keeps the sign of x."""
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    _require_prime(p)
+    require_prime(p)
     v = 0
     while x % p == 0:
         x //= p
@@ -91,7 +101,7 @@ def kummer_valuation(n: int, k: int, p: int) -> int:
     """nu_p of binomial(n, k): the number of carries adding k to n-k in base p."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _require_prime(p)
+    require_prime(p)
     a, b = _digits(k, p), _digits(n - k, p)
     carries = 0
     carry = 0
@@ -116,7 +126,7 @@ def legendre_valuation(n: int, k: int, p: int) -> int:
     """nu_p of binomial(n, k) via factorial valuations; oracle for kummer_valuation."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _require_prime(p)
+    require_prime(p)
     return (
         _factorial_valuation(n, p)
         - _factorial_valuation(k, p)
@@ -175,7 +185,7 @@ def solve_diophantine(
 
 def multiplicative_order(c: int, p: int, s: int) -> int:
     """Least e >= 1 with c**e == 1 mod p**s (c must be a unit mod p**s)."""
-    _require_prime(p)
+    require_prime(p)
     if s < 1:
         raise ValueError("need s >= 1")
     modulus = p**s

@@ -50,7 +50,10 @@ twice, by a left fold and by a random bracketing, with table gathers over
 chunks of 2^16 words, so its memory does not grow with the count.  A word
 has 1..10 letters g_i^e, i uniform on 1..n and e uniform over the nonzero
 integers in [-2p, 2p]; the bracketing merges one adjacent pair at a time,
-chosen uniformly.
+chosen uniformly.  On a group that loaded, the two can never disagree: Light's
+test has proved the table associative, so every bracketing of a word gives
+the same product.  The check can only catch a table altered after loading,
+which is what its tests do.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numtheory import is_prime
+from .numtheory import require_prime
 
 PcWord = tuple[tuple[int, int], ...]  # ((generator 1-based, exponent), ...)
 
@@ -101,8 +104,10 @@ class PcPresentation:
     comm_words: dict[tuple[int, int], PcWord] = field(default_factory=dict)
 
     def validate_shape(self) -> None:
-        if not is_prime(self.p):
-            raise CatalogError(f"group {self.name}: p={self.p} is not prime")
+        try:
+            require_prime(self.p)
+        except ValueError as exc:
+            raise CatalogError(f"group {self.name}: {exc}") from None
         if self.ngens < 0:
             raise CatalogError(f"group {self.name}: negative generator count")
         if self.p**self.ngens > MAX_ORDER:
@@ -645,8 +650,7 @@ def builtin_catalog(p: int) -> tuple[PcGroup, ...]:
     primes up to 31 get the abelian groups of order p and p^2 only."""
     if p in _cache:
         return _cache[p]
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if p in (2, 3, 5):
         from importlib import resources
 

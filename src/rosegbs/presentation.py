@@ -84,20 +84,6 @@ class Word:
                 raise PresentationError("word is not freely reduced")
             prev = gen
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __pow__(self, e: int) -> "Word":
-        if e < 0:
-            return invert(self) ** (-e)
-        out, base = IDENTITY, self
-        while e:
-            if e & 1:
-                out = concat(out, base)
-            base = concat(base, base)
-            e >>= 1
-        return out
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -135,9 +121,6 @@ class Word:
         return print_word(self)
 
 
-IDENTITY = Word()
-
-
 def reduce(letters: Iterable[Letter], modulus: int = 0) -> Word:
     """Freely reduce a letter sequence: merge equal neighbours, drop zeros.
 
@@ -160,10 +143,6 @@ def generator(gen: GenIndex, exp: int = 1) -> Word:
 
 def invert(w: Word) -> Word:
     return Word(tuple((g, -e) for g, e in reversed(w.letters)))
-
-
-def concat(x: Word, y: Word) -> Word:
-    return reduce(x.letters + y.letters)
 
 
 def conjugate(w: Word, g: Word) -> Word:

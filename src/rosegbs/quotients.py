@@ -143,8 +143,8 @@ from .generators import (
 from .numtheory import (
     inverse_mod,
     is_p_power,
-    is_prime,
     multiplicative_order,
+    require_prime,
 )
 from .pcgroup import MAX_ASSIGNMENTS, PcGroup, builtin_catalog
 from .presentation import RoseGbs, Word, generator
@@ -245,6 +245,7 @@ def evaluate_words(
     return out
 
 
+# Kept by name: tests and perfbench/tracer.py call it; CI's traced step needs it.
 def evaluate_word_bulk(
     w: Word, group: PcGroup, a_img: np.ndarray, t_imgs: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -552,8 +553,7 @@ class QuotientOracle:
         budget: Budget = Budget(),
         catalog: Optional[Sequence[PcGroup]] = None,
     ):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         self.pres = pres
         self.p = p
         self.budget = budget
@@ -651,13 +651,21 @@ class VerifyReport:
     mixed_order: MixedOrder
     generator_set: GeneratorSet
     checks: tuple[CheckResult, ...]
-    violations: tuple[CheckResult, ...]
     inconclusive: tuple[str, ...]
     orientation_report: Optional[dict]
     mixed_order_report: Optional[dict]
     holomorph_s: tuple[int, ...]
     holomorph_unavailable: Optional[str]
     catalog_names: tuple[str, ...]
+
+    @property
+    def violations(self) -> tuple[CheckResult, ...]:
+        """The separated words that the theorem puts in every kernel: the
+        containment and Moldavanskii checks, in check order."""
+        return tuple(
+            c for c in self.checks
+            if c.check in ("containment", "moldavanskii") and c.verdict.separated
+        )
 
     @property
     def status(self) -> str:
@@ -678,6 +686,15 @@ def _check_entries(
         CheckResult(check, e.family, e.detail, e.word, v)
         for e, v in zip(entries, verdicts)
     ]
+
+
+def _separations(results: Sequence[CheckResult]) -> int:
+    return sum(c.verdict.separated for c in results)
+
+
+def _other(choice):
+    """The other member of a two-member enum (Orientation, MixedOrder)."""
+    return next(m for m in type(choice) if m is not choice)
 
 
 def verify_theorem(
@@ -703,8 +720,6 @@ def verify_theorem(
     oracle = QuotientOracle(pres, p, budget, catalog)
     cls = classify(pres, p, orientation)
     inconclusive: list[str] = []
-    checks: list[CheckResult] = []
-    violations: list[CheckResult] = []
     orientation_report: Optional[dict] = None
     mixed_order_report: Optional[dict] = None
 
@@ -714,8 +729,7 @@ def verify_theorem(
         gens = case2_generators(cls, bounds, mixed_order)
 
     containment = _check_entries(oracle, gens.entries, "containment")
-    checks.extend(containment)
-    violations.extend(c for c in containment if c.verdict.separated)
+    checks = list(containment)
 
     skipped = oracle.skipped_groups
     if skipped:
@@ -738,54 +752,36 @@ def verify_theorem(
 
     if pres.r == 1:
         fam = moldavanskii_r1(pres, p, k_bound=bounds.k_max)
-        mold = _check_entries(
+        checks += _check_entries(
             oracle,
             [GeneratorEntry(w, "moldavanskii", f"word {i}") for i, w in
              enumerate(fam.words)],
             "moldavanskii",
         )
-        checks.extend(mold)
-        violations.extend(c for c in mold if c.verdict.separated)
 
     if cls.case == Case.TWO:
-        mixed_separations = sum(
-            1 for c in containment if c.family == "mixed" and c.verdict.separated
-        )
-        alt_orientation = (
-            Orientation.INTRO_VERBATIM
-            if orientation is Orientation.CANONICAL
-            else Orientation.CANONICAL
-        )
+        chosen = _separations([c for c in containment if c.family == "mixed"])
+        alt_orientation, alt_order = _other(orientation), _other(mixed_order)
         cls_alt = classify(pres, p, alt_orientation)
         alt_mixed = _check_entries(
-            oracle, family_mixed(cls_alt, bounds, mixed_order),
-            "orientation-alternate",
+            oracle, family_mixed(cls_alt, bounds, mixed_order), "orientation-alternate"
         )
-        checks.extend(alt_mixed)
+        alt_results = _check_entries(
+            oracle, family_mixed(cls, bounds, alt_order), "mixed-order-alternate"
+        )
+        checks += alt_mixed + alt_results
         counts = {
-            orientation.value: mixed_separations,
-            alt_orientation.value: sum(1 for c in alt_mixed if c.verdict.separated),
+            orientation.value: chosen, alt_orientation.value: _separations(alt_mixed),
         }
-        surviving = [o for o, c in counts.items() if c == 0]
         orientation_report = {
             "separations": counts,
-            "surviving": surviving,
+            "surviving": [o for o, c in counts.items() if c == 0],
             "default": Orientation.CANONICAL.value,
-            "default_survives": counts.get(Orientation.CANONICAL.value) == 0,
+            "default_survives": counts[Orientation.CANONICAL.value] == 0,
         }
-
-        alt_order = (
-            MixedOrder.VERBATIM
-            if mixed_order is MixedOrder.CONJUGATE
-            else MixedOrder.CONJUGATE
-        )
-        alt_entries = family_mixed(cls, bounds, alt_order)
-        alt_results = _check_entries(oracle, alt_entries, "mixed-order-alternate")
-        checks.extend(alt_results)
         mixed_order_report = {
             "separations": {
-                mixed_order.value: mixed_separations,
-                alt_order.value: sum(1 for c in alt_results if c.verdict.separated),
+                mixed_order.value: chosen, alt_order.value: _separations(alt_results),
             },
             "default": MixedOrder.CONJUGATE.value,
         }
@@ -800,7 +796,6 @@ def verify_theorem(
         mixed_order=mixed_order,
         generator_set=gens,
         checks=tuple(checks),
-        violations=tuple(violations),
         inconclusive=tuple(inconclusive),
         orientation_report=orientation_report,
         mixed_order_report=mixed_order_report,

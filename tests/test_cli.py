@@ -62,6 +62,17 @@ def test_not_prime_exits_2(capsys):
     assert main(["classify", "-p", "4", PRES1]) == 2
 
 
+def test_prime_bound_exits_2(capsys):
+    # 2^31 + 11 is prime; the bound is checked before primality
+    assert main(["verify", "-p", "2147483659", PRES1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p must be at most 2^31, got 2147483659\n"
+    assert main(["verify", "-p", "4", PRES1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: 4 is not prime\n"
+
+
 def test_parse_error_exits_2(capsys):
     assert main(["classify", "-p", "2", "<a,t1|t1 a^0 t1^-1 = a^3>"]) == 2
     assert main(["classify", "-p", "2", "<a,t1 | t01 a^2 t01^-1 = a^3>"]) == 2
@@ -345,6 +356,17 @@ def test_catalog_validate_rejects_bad(tmp_path, capsys, schema):
     path.write_text("group bad p=3 n=2\ncomm 2 1 = g2\nend\n")
     code, rep = run_json(capsys, "catalog-validate", str(path))
     assert code == 1 and rep["status"] == "invalid"
+    jsonschema.validate(rep, schema)
+
+
+def test_catalog_validate_prime_bound(tmp_path, capsys, schema):
+    path = tmp_path / "m61.txt"
+    path.write_text("group X p=2305843009213693951 n=1\nend\n")
+    code, rep = run_json(capsys, "catalog-validate", str(path))
+    assert code == 1 and rep["status"] == "invalid"
+    assert rep["error"] == (
+        "group X: p must be at most 2^31, got 2305843009213693951"
+    )
     jsonschema.validate(rep, schema)
 
 

@@ -12,8 +12,10 @@ from rosegbs.numtheory import (
     is_prime,
     kummer_valuation,
     legendre_valuation,
+    MAX_PRIME,
     multiplicative_order,
     p_valuation,
+    require_prime,
     solve_diophantine,
 )
 
@@ -185,3 +187,39 @@ def test_is_prime():
     assert [n for n in range(60) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     ]
+
+
+#: 2^61 - 1, a Mersenne prime: trial division would take minutes on it.
+M61 = 2**61 - 1
+
+
+def test_require_prime_bound():
+    require_prime(MAX_PRIME - 1)  # 2^31 - 1 is prime
+    for p in (MAX_PRIME, 4, 1, 0, -3):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            require_prime(p)
+    for p in (MAX_PRIME + 11, M61):
+        with pytest.raises(ValueError, match=rf"^p must be at most 2\^31, got {p}$"):
+            require_prime(p)
+
+
+def test_every_entry_point_rejects_a_prime_past_the_bound():
+    # each call reaches require_prime before any work that grows with p
+    from rosegbs import (
+        QuotientOracle, RoseGbs, builtin_catalog, classify, holomorph_quotient,
+        verify_theorem,
+    )
+
+    pres = RoseGbs.from_pairs([(3, 1)])
+    calls = [
+        lambda: classify(pres, M61),
+        lambda: QuotientOracle(pres, M61),
+        lambda: holomorph_quotient(pres, M61, 1),
+        lambda: verify_theorem(pres, M61),
+        lambda: builtin_catalog(M61),
+        lambda: p_valuation(12, M61),
+        lambda: multiplicative_order(2, M61, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"at most 2\^31"):
+            call()

@@ -361,10 +361,17 @@ def test_shape_validation():
         PcGroup(PcPresentation("bad", 2, 2, pow_words={1: ((1, 1),)}))
     with pytest.raises(CatalogError):
         PcGroup(PcPresentation("bad", 2, 2, comm_words={(2, 1): ((1, 1),)}))
-    with pytest.raises(CatalogError):
-        PcGroup(PcPresentation("bad", 4, 1))  # p not prime
+    with pytest.raises(CatalogError, match="^group bad: 4 is not prime$"):
+        PcGroup(PcPresentation("bad", 4, 1))
     with pytest.raises(CatalogError):
         PcGroup(PcPresentation("bad", 2, 2, comm_words={(1, 2): ((2, 1),)}))
+
+
+def test_prime_bound_refused_before_trial_division():
+    # 2^61 - 1 is prime, so the error names the bound, not primality
+    with pytest.raises(CatalogError, match=r"^group X: p must be at most 2\^31, got "
+                       "2305843009213693951$"):
+        load_catalog_text("group X p=2305843009213693951 n=1\nend\n")
 
 
 def test_order_cap_refused_before_any_table(monkeypatch):

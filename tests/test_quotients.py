@@ -33,6 +33,12 @@ def pres(*pairs):
     return RoseGbs.from_pairs(pairs)
 
 
+def cancel_sums(w):
+    """w followed by the inverse of each of its exponent sums: a word whose
+    exponent sums are all zero."""
+    return reduce(w.letters + tuple((g, -e) for g, e in w.abelianised.letters))
+
+
 def by_name(p):
     return {g.name: g for g in builtin_catalog(p)}
 
@@ -341,7 +347,7 @@ def oracle_cases(draw, ranks=(1, 2)):
     ))
     w = reduce(letters)
     if draw(st.booleans()):
-        w = w * Word(tuple((g, -e) for g, e in w.abelianised.letters))
+        w = cancel_sums(w)
     groups = [g for g in builtin_catalog(p) if g.order <= FULL_MAX_ORDER[p]]
     if draw(st.booleans()):
         groups = draw(st.permutations([g for g in groups if not g.is_abelian]))
@@ -417,12 +423,13 @@ def words_mod_exponent(draw, r):
 def test_reduced_mod_examples():
     E = 4
     a, t = generator(0), generator(1)
-    assert (a**2 * t**E * a**3).reduced_mod(E) == a  # t vanishes, a^5 = a
-    assert (a * t ** (-E) * a**-1).reduced_mod(E) == Word()
-    assert (a**-1).reduced_mod(E) == a**3
-    assert (a ** (10**30) * t ** (-(10**30) - 1)).reduced_mod(E) == t**3
-    assert (t * a**8 * t**3 * a**4).reduced_mod(E) == Word()  # t t^3 = t^4, then gone
-    w = a**6 * t
+    assert reduce([(0, 2), (1, E), (0, 3)]).reduced_mod(E) == a  # t vanishes, a^5 = a
+    assert reduce([(0, 1), (1, -E), (0, -1)]).reduced_mod(E) == Word()
+    assert generator(0, -1).reduced_mod(E) == generator(0, 3)
+    assert reduce([(0, 10**30), (1, -(10**30) - 1)]).reduced_mod(E) == generator(1, 3)
+    # t t^3 = t^4, then gone
+    assert reduce([(1, 1), (0, 8), (1, 3), (0, 4)]).reduced_mod(E) == Word()
+    w = reduce([(0, 6), (1, 1)])
     assert w.reduced_mod(E) is w.reduced_mod(E) and w.reduced_mod(3) == t
 
 
@@ -471,7 +478,7 @@ def oracle_batches(draw):
     p, pr, w, groups = draw(oracle_cases())
     pool = [
         w,
-        w * Word(tuple((g, -e) for g, e in w.abelianised.letters)),
+        cancel_sums(w),
         generator(0, p**4),
         generator(0, VANISHING),
         reduce([(g, k * VANISHING) for g, k in
@@ -533,8 +540,7 @@ def test_eval_blocks_do_not_matter(monkeypatch, block):
                 for _ in range(rng.randrange(1, 9))])
         for _ in range(12)
     ]
-    words += [w * Word(tuple((g, -e) for g, e in w.abelianised.letters))
-              for w in words[:6]]
+    words += [cancel_sums(w) for w in words[:6]]
     budget = Budget(max_order=27, s_max=0)
     oracle = QuotientOracle(pr, 3, budget)
     whole = [t.separate(words) for t in oracle.targets]
