@@ -84,22 +84,22 @@ reduces to the empty word is killed by every hom into P and is not evaluated
 at all; the paper's a^(p^sigma) blocks and repeated stable-letter powers
 mostly vanish this way.
 
-QuotientOracle.verdicts(words) takes a whole check phase in one pass: the
-words without a verdict yet go to each target, in scan order, together, and
-a word leaves the batch at the first target that separates it.  So each word
-meets the same targets in the same order as in a sweep of its own, and its
-verdict is unchanged, provided each target separates a word of the batch
-exactly when and as it would separate the word alone.  It does: on a
-catalog target, row k of evaluate_words(words, ..) is the image array of
+QuotientOracle.verdicts(words) takes all of a verify run's checks in one
+pass: the words without a verdict yet go to each target, in scan order,
+together, and a word leaves the batch at the first target that separates it.
+So each word meets the same targets in the same order as in a sweep of its
+own, and its verdict is unchanged, provided each target separates a word of
+the batch exactly when and as it would separate the word alone.  It does: on
+a catalog target, row k of evaluate_words(words, ..) is the image array of
 words[k] alone, PcGroup.evaluate over the same representatives, element by
 element; the words are only sorted by length and their letters packed by
 position, and each row is still the left fold of its own letters.  The first
 nonzero entry of the row is therefore the same representative, with the same
 word_image, and the first separating target, homs_tested (the homs of the
-targets up to it), max_order and the witness are those of the per-word sweep.
-The batch goes to evaluate_words in chunks of whole words (at most
-_EVAL_BLOCK letter images a call), and cutting a batch leaves each word's row
-as it is.
+targets up to it), max_order and the witness are those of the per-word
+sweep.  The batch goes to evaluate_words in chunks of whole words (at most
+_EVAL_BLOCK letter images a call), and cutting a batch leaves each word's
+row as it is.
 
 Verdicts are memoised per word for the oracle's lifetime.  The targets,
 their order and their homs are fixed by the presentation, p, the budget and
@@ -652,8 +652,6 @@ class VerifyReport:
     generator_set: GeneratorSet
     checks: tuple[CheckResult, ...]
     inconclusive: tuple[str, ...]
-    orientation_report: Optional[dict]
-    mixed_order_report: Optional[dict]
     holomorph_s: tuple[int, ...]
     holomorph_unavailable: Optional[str]
     catalog_names: tuple[str, ...]
@@ -667,6 +665,44 @@ class VerifyReport:
             if c.check in ("containment", "moldavanskii") and c.verdict.separated
         )
 
+    def _separations(self, choice, alternate: str) -> dict:
+        """Separated mixed-family words per value of a two-way choice: the
+        chosen value's are its containment checks, the other's the checks
+        named alternate."""
+        def count(check):
+            return sum(
+                c.verdict.separated for c in self.checks
+                if c.check == check and c.family == "mixed"
+            )
+        return {
+            choice.value: count("containment"), _other(choice).value: count(alternate)
+        }
+
+    @property
+    def orientation_report(self) -> Optional[dict]:
+        """In case 2, the separations under each orientation and which
+        orientations survive; None in case 1."""
+        if self.classification.case != Case.TWO:
+            return None
+        counts = self._separations(self.orientation, "orientation-alternate")
+        return {
+            "separations": counts,
+            "surviving": [o for o, c in counts.items() if c == 0],
+            "default": Orientation.CANONICAL.value,
+            "default_survives": counts[Orientation.CANONICAL.value] == 0,
+        }
+
+    @property
+    def mixed_order_report(self) -> Optional[dict]:
+        """In case 2, the separations under each mixed letter order; None in
+        case 1."""
+        if self.classification.case != Case.TWO:
+            return None
+        return {
+            "separations": self._separations(self.mixed_order, "mixed-order-alternate"),
+            "default": MixedOrder.CONJUGATE.value,
+        }
+
     @property
     def status(self) -> str:
         if self.violations:
@@ -674,22 +710,6 @@ class VerifyReport:
         if self.inconclusive:
             return "inconclusive"
         return "ok"
-
-
-def _check_entries(
-    oracle: QuotientOracle,
-    entries: Sequence[GeneratorEntry],
-    check: str,
-) -> list[CheckResult]:
-    verdicts = oracle.verdicts([e.word for e in entries])
-    return [
-        CheckResult(check, e.family, e.detail, e.word, v)
-        for e, v in zip(entries, verdicts)
-    ]
-
-
-def _separations(results: Sequence[CheckResult]) -> int:
-    return sum(c.verdict.separated for c in results)
 
 
 def _other(choice):
@@ -716,21 +736,44 @@ def verify_theorem(
     2 the mixed family is additionally evaluated under the opposite
     orientation and opposite letter order, and the report records which
     choices survive the oracle.
+
+    The checks are planned first, in that order, and all their words go to
+    one QuotientOracle.verdicts pass (see the module docstring).
     """
     oracle = QuotientOracle(pres, p, budget, catalog)
     cls = classify(pres, p, orientation)
-    inconclusive: list[str] = []
-    orientation_report: Optional[dict] = None
-    mixed_order_report: Optional[dict] = None
-
     if cls.case == Case.ONE:
         gens = case1_generators(cls)
     else:
         gens = case2_generators(cls, bounds, mixed_order)
 
-    containment = _check_entries(oracle, gens.entries, "containment")
-    checks = list(containment)
+    plan = [("containment", e) for e in gens.entries]
+    if cls.case == Case.ONE and cls.xi is not None and cls.xi >= 1:
+        w = generator(0, p ** (cls.xi - 1))
+        plan.append(("separation", GeneratorEntry(w, "power", f"xi-1={cls.xi - 1}")))
+    if pres.r == 1:
+        fam = moldavanskii_r1(pres, p, k_bound=bounds.k_max)
+        plan += [
+            ("moldavanskii", GeneratorEntry(w, "moldavanskii", f"word {i}"))
+            for i, w in enumerate(fam.words)
+        ]
+    if cls.case == Case.TWO:
+        cls_alt = classify(pres, p, _other(orientation))
+        plan += [
+            ("orientation-alternate", e)
+            for e in family_mixed(cls_alt, bounds, mixed_order)
+        ]
+        plan += [
+            ("mixed-order-alternate", e)
+            for e in family_mixed(cls, bounds, _other(mixed_order))
+        ]
+    verdicts = oracle.verdicts([e.word for _, e in plan])
+    checks = tuple(
+        CheckResult(check, e.family, e.detail, e.word, v)
+        for (check, e), v in zip(plan, verdicts)
+    )
 
+    inconclusive: list[str] = []
     skipped = oracle.skipped_groups
     if skipped:
         inconclusive.append(
@@ -740,51 +783,10 @@ def verify_theorem(
         )
     if oracle.total_homs == 0:
         inconclusive.append("no quotients within budget; nothing was tested")
-
-    if cls.case == Case.ONE and cls.xi is not None and cls.xi >= 1:
-        w = generator(0, p ** (cls.xi - 1))
-        v = oracle.verdict(w)
-        checks.append(CheckResult("separation", "power", f"xi-1={cls.xi - 1}", w, v))
-        if not v.separated:
-            inconclusive.append(
-                f"a^(p^(xi-1)) = {w} was not separated within budget"
-            )
-
-    if pres.r == 1:
-        fam = moldavanskii_r1(pres, p, k_bound=bounds.k_max)
-        checks += _check_entries(
-            oracle,
-            [GeneratorEntry(w, "moldavanskii", f"word {i}") for i, w in
-             enumerate(fam.words)],
-            "moldavanskii",
-        )
-
-    if cls.case == Case.TWO:
-        chosen = _separations([c for c in containment if c.family == "mixed"])
-        alt_orientation, alt_order = _other(orientation), _other(mixed_order)
-        cls_alt = classify(pres, p, alt_orientation)
-        alt_mixed = _check_entries(
-            oracle, family_mixed(cls_alt, bounds, mixed_order), "orientation-alternate"
-        )
-        alt_results = _check_entries(
-            oracle, family_mixed(cls, bounds, alt_order), "mixed-order-alternate"
-        )
-        checks += alt_mixed + alt_results
-        counts = {
-            orientation.value: chosen, alt_orientation.value: _separations(alt_mixed),
-        }
-        orientation_report = {
-            "separations": counts,
-            "surviving": [o for o, c in counts.items() if c == 0],
-            "default": Orientation.CANONICAL.value,
-            "default_survives": counts[Orientation.CANONICAL.value] == 0,
-        }
-        mixed_order_report = {
-            "separations": {
-                mixed_order.value: chosen, alt_order.value: _separations(alt_results),
-            },
-            "default": MixedOrder.CONJUGATE.value,
-        }
+    inconclusive += [
+        f"a^(p^(xi-1)) = {c.word} was not separated within budget"
+        for c in checks if c.check == "separation" and not c.verdict.separated
+    ]
 
     return VerifyReport(
         pres=pres,
@@ -795,10 +797,8 @@ def verify_theorem(
         orientation=orientation,
         mixed_order=mixed_order,
         generator_set=gens,
-        checks=tuple(checks),
+        checks=checks,
         inconclusive=tuple(inconclusive),
-        orientation_report=orientation_report,
-        mixed_order_report=mixed_order_report,
         holomorph_s=tuple(h.s for h in oracle.holomorphs),
         holomorph_unavailable=oracle.holomorph_unavailable,
         catalog_names=tuple(g.name for g in oracle.groups if g.name not in skipped),

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -382,6 +383,19 @@ def test_order_cap_refused_before_any_table(monkeypatch):
         big.validate_shape()
     with pytest.raises(CatalogError, match="exceeds the supported maximum"):
         PcGroup(big)
+
+
+def test_order_cap_refused_before_the_power():
+    # 3^(10^7) alone takes seconds to compute; the generator count is refused
+    # first, with the same message
+    start = time.perf_counter()
+    with pytest.raises(CatalogError, match=r"^group X: order 3\^10000000 exceeds "
+                       "the supported maximum 2048$"):
+        PcPresentation("X", 3, 10**7).validate_shape()
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(CatalogError, match=r"order 2\^12 exceeds"):
+        PcPresentation("X", 2, 12).validate_shape()
+    PcPresentation("X", 2, 11).validate_shape()
 
 
 def test_inconsistent_presentation_rejected():

@@ -185,6 +185,39 @@ def test_evaluate_word_examples():
             assert ref_evaluate(w, g, a, ts) == 0
 
 
+SYMPY_PRESENTATIONS = [
+    ([(2, 12)], 2), ([(2, 3)], 2), ([(3, 12)], 3), ([(1, 3)], 3), ([(3, 8)], 5),
+    ([(1, -1)], 5), ([(3, 1), (5, 1)], 2), ([(-2, 2), (1, 3)], 2),
+    ([(3, 12), (2, 5)], 3), ([(1, 1), (2, -2)], 3),
+]
+
+
+@pytest.mark.parametrize("pairs, p", SYMPY_PRESENTATIONS)
+def test_cp_hom_count_matches_sympy_normal_subgroups(pairs, p):
+    """An independent count of Hom(G, C_p): each normal subgroup of index p
+    is the kernel of the p - 1 surjective homs onto C_p, and every hom but the
+    trivial one is surjective.  sympy lists the subgroups of index at most p
+    by coset enumeration; one of index p is normal iff G acts on its cosets
+    as a group of order p."""
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+    from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
+    from sympy.combinatorics.free_groups import free_group
+
+    names = ["a"] + [f"t{i}" for i in range(1, len(pairs) + 1)]
+    F, a, *ts = free_group(" ".join(names))
+    G = FpGroup(F, [t * a**n * t**-1 * a**-m for t, (n, m) in zip(ts, pairs)])
+    normal = 0
+    for table in low_index_subgroups(G, p):
+        if len(table.table) == p:
+            # columns 2j and 2j + 1 are generator j and its inverse
+            perms = [Permutation([row[2 * j] for row in table.table])
+                     for j in range(len(G.generators))]
+            normal += PermutationGroup(perms).order() == p
+    homs = QuotientOracle(pres(*pairs), p, Budget(max_order=p, s_max=0)).targets[0].homs
+    assert homs - 1 == normal * (p - 1)
+
+
 # --- differential test against the scalar references -------------------------------
 
 REF_MAX_ORDER = {2: 8, 3: 9}
@@ -613,6 +646,34 @@ def test_verdict_memo_is_transparent_in_verify(monkeypatch):
     monkeypatch.setattr(QuotientOracle, "verdicts", fresh_verdicts)
     assert verify_theorem(pr, 2, bounds) == memoised
     assert sum(calls) == len(words)  # every check went through the patch
+
+
+@pytest.mark.parametrize("pairs, case, checks", [
+    ([(2, 12)], Case.ONE, {"containment", "separation", "moldavanskii"}),
+    ([(3, 1)], Case.TWO,
+     {"containment", "moldavanskii", "orientation-alternate", "mixed-order-alternate"}),
+    ([(3, 1), (5, 1)], Case.TWO,
+     {"containment", "orientation-alternate", "mixed-order-alternate"}),
+])
+def test_verify_makes_one_oracle_pass(monkeypatch, pairs, case, checks):
+    verdicts, verdict = QuotientOracle.verdicts, QuotientOracle.verdict
+    batches, singles = [], []
+
+    def counted_verdicts(self, words):
+        batches.append(list(words))
+        return verdicts(self, words)
+
+    def counted_verdict(self, w):
+        singles.append(w)
+        return verdict(self, w)
+
+    monkeypatch.setattr(QuotientOracle, "verdicts", counted_verdicts)
+    monkeypatch.setattr(QuotientOracle, "verdict", counted_verdict)
+    rep = verify_theorem(pres(*pairs), 2, Bounds(k_max=1, comm_word_len=4))
+    assert rep.classification.case == case
+    assert {c.check for c in rep.checks} == checks
+    assert batches == [[c.word for c in rep.checks]]
+    assert singles == []
 
 
 def test_verdict_memo_per_oracle():
