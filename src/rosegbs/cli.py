@@ -27,14 +27,7 @@ import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from .classifier import (
-    Case,
-    Classification,
-    Orientation,
-    ResidualPReport,
-    classify,
-    residually_p,
-)
+from .classifier import Case, Classification, Orientation, classify, residually_p
 from .generators import (
     Bounds, GeneratorSet, MixedOrder, np_omega_generators, serialize_generators,
 )
@@ -94,11 +87,14 @@ def _load_presentation(arg: str) -> RoseGbs:
     return parse_presentation(text)
 
 
-def _emit(report: dict, text: str, fmt: str) -> None:
+def _emit(report: dict, render: Callable[[dict], str], fmt: str) -> None:
+    """Print the report as JSON, or as render(report) for --format text: the
+    text is a view of the report and is built only when it is printed."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(report, sort_keys=True, indent=2)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = render(report)
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # --- report builders -----------------------------------------------------------
@@ -128,21 +124,24 @@ def _classification_json(cls: Classification) -> dict:
     }
 
 
-def _classify_text(cls: Classification) -> str:
+def _classify_text(report: dict) -> str:
+    """A classify report, or the "classification" of a verify report."""
+    case = report["case"]
     lines = [
-        f"case {int(cls.case)}: "
-        + (f"xi = {cls.xi}" if cls.case == Case.ONE else f"Sigma = {cls.sigma_total}")
+        f"case {case}: "
+        + (f"xi = {report['xi']}" if case == Case.ONE else f"Sigma = {report['sigma']}")
     ]
     header = f"{'loop':>4} {'n':>8} {'m':>8} {'sigma':>5} {'tau':>5} " \
              f"{'m_hat':>8} {'n_hat':>8} {'d':>4} {'u':>6} {'v':>6} {'theta':>8}"
     lines.append(header)
-    for L in cls.loops:
-        theta = str(L.theta) if L.theta_finite else "inf"
+    for L in report["loops"]:
+        theta = "inf" if L["theta"] == "infinity" else str(L["theta"])
         lines.append(
-            f"{L.index:>4} {L.n:>8} {L.m:>8} {L.sigma:>5} {L.tau:>5} "
-            f"{L.m_hat:>8} {L.n_hat:>8} {L.d:>4} {L.u:>6} {L.v:>6} {theta:>8}"
+            f"{L['index']:>4} {L['n']:>8} {L['m']:>8} {L['sigma']:>5} {L['tau']:>5} "
+            f"{L['m_hat']:>8} {L['n_hat']:>8} {L['d']:>4} {L['u']:>6} {L['v']:>6}"
+            f" {theta:>8}"
         )
-    for w in cls.warnings:
+    for w in report["warnings"]:
         lines.append(f"warning: {w}")
     return "\n".join(lines)
 
@@ -154,14 +153,18 @@ def _generators_json(gs: GeneratorSet) -> list[dict]:
     ]
 
 
-def _residual_text(rep: ResidualPReport) -> str:
-    lines = [f"residually finite {rep.p}-group: {'yes' if rep.decision else 'no'}"]
-    lines.append(f"reason: {rep.reason.value}")
-    if rep.witness is not None:
-        what = "loop" if len(rep.witness) == 1 else "loop pair"
-        kind = f" ({rep.obstruction_kind})" if rep.obstruction_kind else ""
-        lines.append(f"witness {what}: {', '.join(map(str, rep.witness))}{kind}")
-    for w in rep.warnings:
+def _residual_text(report: dict) -> str:
+    lines = [
+        f"residually finite {report['p']}-group:"
+        f" {'yes' if report['decision'] else 'no'}",
+        f"reason: {report['reason']}",
+    ]
+    witness = report["witness"]
+    if witness is not None:
+        what = "loop" if len(witness) == 1 else "loop pair"
+        kind = f" ({report['obstruction_kind']})" if report["obstruction_kind"] else ""
+        lines.append(f"witness {what}: {', '.join(map(str, witness))}{kind}")
+    for w in report["warnings"]:
         lines.append(f"warning: {w}")
     return "\n".join(lines)
 
@@ -215,50 +218,61 @@ def _verify_json(rep: VerifyReport) -> dict:
     }
 
 
-def _verify_text(rep: VerifyReport) -> str:
-    cls = rep.classification
-    lines = [_classify_text(cls)]
+def _verify_text(report: dict) -> str:
+    """A verify report; each separated verdict is followed by its witness,
+    the next entry of report["witnesses"]."""
+    verdicts = report["verdicts"]
+    separated = sum(v["verdict"] == "separated" for v in verdicts)
+    lines = [
+        _classify_text(report["classification"]),
+        f"oracle: {len(report['catalog'])} catalog groups"
+        f" (max order {report['budget']['max_order']}),"
+        f" holomorph s = {report['holomorph_s'] or 'none'}",
+    ]
+    if report["holomorph_unavailable"]:
+        lines.append(f"holomorph unavailable: {report['holomorph_unavailable']}")
     lines.append(
-        f"oracle: {len(rep.catalog_names)} catalog groups"
-        f" (max order {rep.budget.max_order}),"
-        f" holomorph s = {list(rep.holomorph_s) or 'none'}"
+        f"checks: {len(verdicts)} words ({len(verdicts) - separated} in all kernels,"
+        f" {separated} separated)"
     )
-    if rep.holomorph_unavailable:
-        lines.append(f"holomorph unavailable: {rep.holomorph_unavailable}")
-    sep = [c for c in rep.checks if c.verdict.separated]
-    kept = [c for c in rep.checks if not c.verdict.separated]
-    lines.append(
-        f"checks: {len(rep.checks)} words ({len(kept)} in all kernels,"
-        f" {len(sep)} separated)"
-    )
-    for c in rep.checks:
-        mark = "SEPARATED" if c.verdict.separated else "in-all-kernels"
+    witnesses = iter(report["witnesses"])
+    for v in verdicts:
+        mark = "SEPARATED" if v["verdict"] == "separated" else "in-all-kernels"
         lines.append(
-            f"  [{c.check}] {c.family} {c.detail}: {c.word} -> {mark}"
-            f" ({c.verdict.homs_tested} homs)"
+            f"  [{v['check']}] {v['family']} {v['detail']}: {v['word']} -> {mark}"
+            f" ({v['homs_tested']} homs)"
         )
-        if c.verdict.separated and c.verdict.witness:
-            w = c.verdict.witness
-            lines.append(
-                f"      witness: {w.get('target')} image {w.get('word_image')}"
-            )
-    if rep.orientation_report:
-        rep_o = rep.orientation_report
+        if v["verdict"] == "separated":
+            w = next(witnesses)
+            lines.append(f"      witness: {w['target']} image {w['word_image']}")
+    orientation = report["orientation_adjudication"]
+    if orientation:
         lines.append(
-            f"orientation adjudication: separations {rep_o['separations']},"
-            f" surviving {rep_o['surviving']}"
+            f"orientation adjudication: separations {orientation['separations']},"
+            f" surviving {orientation['surviving']}"
         )
-    if rep.mixed_order_report:
+    if report["mixed_order_adjudication"]:
         lines.append(
             f"mixed-order adjudication: separations"
-            f" {rep.mixed_order_report['separations']}"
+            f" {report['mixed_order_adjudication']['separations']}"
         )
-    for msg in rep.inconclusive:
+    for msg in report["inconclusive"]:
         lines.append(f"INCONCLUSIVE: {msg}")
-    for c in rep.violations:
-        lines.append(f"THEOREM-VIOLATION: {c.family} {c.detail} {c.word}")
-    lines.append(f"status: {rep.status}")
+    for v in report["violations"]:
+        lines.append(f"THEOREM-VIOLATION: {v['family']} {v['detail']} {v['word']}")
+    lines.append(f"status: {report['status']}")
     return "\n".join(lines)
+
+
+def _catalog_text(report: dict) -> str:
+    if report["status"] != "ok":
+        return f"INVALID: {report['error']}"
+    groups = report["groups"]
+    text = "\n".join(
+        f"{e['name']}: order {e['order']} ok ({e['confluence_words']} words)"
+        for e in groups
+    ) or "empty catalog"
+    return text + f"\nvalidated {len(groups)} groups"
 
 
 # --- commands -------------------------------------------------------------------
@@ -273,7 +287,7 @@ def _cmd_classify(args) -> int:
         "presentation": str(args.pres),
         **_classification_json(cls),
     }
-    _emit(report, _classify_text(cls), args.format)
+    _emit(report, _classify_text, args.format)
     return 0
 
 
@@ -297,7 +311,7 @@ def _cmd_generators(args) -> int:
         "truncated": gs.truncated,
         "dropped_trivial": gs.dropped_trivial,
     }
-    _emit(report, serialize_generators(gs), args.format)
+    _emit(report, lambda _: serialize_generators(gs), args.format)
     return 0
 
 
@@ -314,7 +328,7 @@ def _cmd_residual(args) -> int:
         "obstruction_kind": rep.obstruction_kind,
         "warnings": list(rep.warnings),
     }
-    _emit(report, _residual_text(rep), args.format)
+    _emit(report, _residual_text, args.format)
     return 0
 
 
@@ -328,7 +342,7 @@ def _cmd_verify(args) -> int:
         Orientation(args.orientation),
         MixedOrder(args.mixed_order),
     )
-    _emit(_verify_json(rep), _verify_text(rep), args.format)
+    _emit(_verify_json(rep), _verify_text, args.format)
     if rep.status == "theorem-violation":
         return 1
     if rep.status == "inconclusive":
@@ -342,12 +356,12 @@ def _cmd_catalog_validate(args) -> int:
         raise ValueError(
             f"--confluence-words must be >= 0, got {args.confluence_words}"
         )
+    report = {"command": "catalog-validate", "path": args.path,
+              "status": "ok", "groups": [], "error": None}
     try:
-        groups = load_catalog(args.path)
-        entries = []
-        for g in groups:
+        for g in load_catalog(args.path):
             checked = random_confluence_check(g, args.confluence_words, args.seed)
-            entries.append(
+            report["groups"].append(
                 {
                     "name": g.name,
                     "p": g.p,
@@ -357,28 +371,9 @@ def _cmd_catalog_validate(args) -> int:
                 }
             )
     except CatalogError as exc:
-        report = {
-            "command": "catalog-validate",
-            "path": args.path,
-            "status": "invalid",
-            "error": str(exc),
-            "groups": [],
-        }
-        _emit(report, f"INVALID: {exc}", args.format)
-        return 1
-    report = {
-        "command": "catalog-validate",
-        "path": args.path,
-        "status": "ok",
-        "groups": entries,
-        "error": None,
-    }
-    text = "\n".join(
-        f"{e['name']}: order {e['order']} ok ({e['confluence_words']} words)"
-        for e in entries
-    ) or "empty catalog"
-    _emit(report, text + f"\nvalidated {len(entries)} groups", args.format)
-    return 0
+        report.update(status="invalid", error=str(exc), groups=[])
+    _emit(report, _catalog_text, args.format)
+    return 0 if report["status"] == "ok" else 1
 
 
 _COMMON = ("P", "FORMAT")

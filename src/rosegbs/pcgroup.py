@@ -207,7 +207,7 @@ class PcGroup:
                     base = p ** (n - g)  # code of g_<g>, guaranteed > level
                     if e < 0:
                         base, e = inverse(base), -e
-                    for _ in range(e):
+                    for _ in range(e % size1):  # base^size1 = 1 in the tail
                         acc = sub[acc, base]
                 return acc
 

@@ -164,12 +164,12 @@ class Budget:
 
 def loop_tables(pres: RoseGbs, group: PcGroup) -> list[np.ndarray]:
     """T_i as an order x order boolean table per loop: T_i[a, t] says whether
-    t a^(n_i) t^(-1) = a^(m_i), i.e. whether t may be the image of t_i once a
-    is the image of a."""
+    t a^(n_i) t^(-1) = a^(m_i), read as t a^(n_i) = a^(m_i) t (no inverse),
+    i.e. whether t may be the image of t_i once a is the image of a."""
     a, t = np.arange(group.order)[:, None], np.arange(group.order)
     return [
-        group.evaluate(((1, 1), (0, loop.n), (1, -1)), [a, t])
-        == group.evaluate(((0, loop.m),), [a, t])
+        group.table[t, group.powers(loop.n)[a]]
+        == group.table[group.powers(loop.m)[a], t]
         for loop in pres.loops
     ]
 
@@ -455,11 +455,12 @@ def _unit_subgroup_order(units: Sequence[int], p: int, s: int) -> int:
     for c in units:
         e = c % 4 // 2
         y = (-c if e else c) % q  # 1 mod 4, a power of 5
-        b, x = 0, 1  # y = 5^b = x mod 2^(i+2) before step i
+        b, x, f = 0, 1, 5  # y = 5^b = x mod 2^(i+2), f = 5^(2^i) before step i
         for i in range(s - 2):
             if (y - x) % 2 ** (i + 3):
                 b += 2**i
-                x = x * pow(5, 2**i, q) % q
+                x = x * f % q
+            f = f * f % q
         vectors.append((e, b))
     g = 0
     for (e1, b1), (e2, b2) in itertools.combinations(vectors, 2):

@@ -221,6 +221,87 @@ def test_verify_golden_output(capsys, name):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
+# catalog-validate inputs, written to a file per run (the text names no path)
+GOLDEN_CATALOGS = {
+    "ok": "group C9 p=3 n=2\npow 1 = g2\nend\n"
+          "group He3 p=3 n=3\ncomm 2 1 = g3\nend\n",
+    "invalid": "group bad p=3 n=2\ncomm 2 1 = g2\nend\n",
+    "empty": "",
+}
+
+# Recorded `--format text` stdout: name -> (argv, exit code).  The verify
+# cases are those of GOLDEN_VERIFY and a zero-budget run; a "catalog-validate" argv names a key of
+# GOLDEN_CATALOGS in place of the path.
+GOLDEN_TEXT = {
+    **{
+        name.replace(".json", ".txt"): (["verify", *argv], 0)
+        for name, argv in GOLDEN_VERIFY.items()
+    },
+    "verify_inconclusive.txt": (
+        ["verify", "-p", "2", PRES1, "--budget.max-order", "0", "--budget.s-max", "0"],
+        3,
+    ),
+    "classify_case1.txt": (
+        ["classify", "-p", "3", "<a,t1,t2 | t1 a^9 t1^-1 = a^18 ; t2 a^6 t2^-1 = a^6>"],
+        0,
+    ),
+    "classify_case2_warning.txt": (
+        ["classify", "-p", "2", "<a,t1,t2 | t1 a^1 t1^-1 = a^-1 ; t2 a^3 t2^-1 = a^1>"],
+        0,
+    ),
+    "generators_truncated.txt": (
+        ["generators", "-p", "2", "<a,t1,t2 | t1 a^3 t1^-1 = a^1 ; t2 a^5 t2^-1 = a^1>",
+         "--bounds.count-limit", "3"],
+        0,
+    ),
+    "residual_pair_witness.txt": (
+        ["residual", "-p", "2", "<a,t1,t2 | t1 a^3 t1^-1 = a^1 ; t2 a^2 t2^-1 = a^2>"],
+        0,
+    ),
+    "residual_warning.txt": (
+        ["residual", "-p", "2", "<a,t1,t2 | t1 a^1 t1^-1 = a^1 ; t2 a^2 t2^-1 = a^-2>"],
+        0,
+    ),
+    **{
+        f"catalog_validate_{key}.txt": (
+            ["catalog-validate", key, "--confluence-words", "100"], int(key == "invalid"),
+        )
+        for key in GOLDEN_CATALOGS
+    },
+}
+
+
+def golden_text_argv(name, tmp_path):
+    argv, code = GOLDEN_TEXT[name]
+    if argv[0] == "catalog-validate":
+        path = tmp_path / "catalog.txt"
+        path.write_text(GOLDEN_CATALOGS[argv[1]])
+        argv = [argv[0], str(path), *argv[2:]]
+    return [*argv, "--format", "text"], code
+
+
+@pytest.mark.filterwarnings("ignore:catalog is empty")
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+def test_text_golden_output(capsys, tmp_path, name):
+    argv, want = golden_text_argv(name, tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == want
+    assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_json_renders_no_text(capsys, tmp_path, monkeypatch):
+    def fail(report):
+        raise AssertionError("text rendered for --format json")
+
+    for name in ("_verify_text", "_classify_text", "_residual_text"):
+        monkeypatch.setattr(cli, name, fail)
+    for name in ("verify_case1_catalog.txt", "classify_case1.txt",
+                 "residual_pair_witness.txt"):
+        argv, want = golden_text_argv(name, tmp_path)
+        assert main([*argv[:-1], "json"]) == want
+        json.loads(capsys.readouterr().out)
+
+
 def test_presentation_from_file(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text(PRES1 + "\n")

@@ -398,6 +398,19 @@ def test_order_cap_refused_before_the_power():
     PcPresentation("X", 2, 11).validate_shape()
 
 
+def test_large_exponents_load():
+    # a letter's exponent is reduced modulo the tail subgroup's order before
+    # the build multiplies, so its size costs nothing
+    c4 = load_catalog_text("group C4 p=2 n=2\npow 1 = g2\nend\n")[0].table
+    start = time.perf_counter()
+    [g] = load_catalog_text("group C4 p=2 n=2\npow 1 = g2^10000001\nend\n")
+    assert time.perf_counter() - start < 0.1
+    assert np.array_equal(g.table, c4)
+    for e in (10**30 + 1, -(10**30 + 1)):
+        [g] = load_catalog_text(f"group C4 p=2 n=2\npow 1 = g2^{e}\nend\n")
+        assert g.exponent == 4 and np.array_equal(g.table, c4)
+
+
 def test_inconsistent_presentation_rejected():
     # [g2, g1] = g2 forces conjugation by g1 to kill g2: not a bijection
     bad = "group bad p=3 n=2\ncomm 2 1 = g2\nend\n"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -818,6 +819,17 @@ def test_unit_subgroup_order_matches_bfs():
             assert _unit_subgroup_order(units, 2, s) == bfs_unit_subgroup_order(units, q)
     assert _unit_subgroup_order([3], 2, 4) == bfs_unit_subgroup_order([3], 16)
     assert _unit_subgroup_order([3], 2, 64) == 2**62
+
+
+def test_unit_subgroup_order_at_depth():
+    # one squaring of 5^(2^i) mod 2^s per bit: milliseconds at s = 2048, where
+    # a fresh pow per bit took seconds per call
+    s = 2048
+    start = time.perf_counter()
+    assert _unit_subgroup_order([3], 2, s) == 2 ** (s - 2)
+    assert _unit_subgroup_order([5], 2, s) == 2 ** (s - 2)
+    assert _unit_subgroup_order([-1, 5], 2, s) == 2 ** (s - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_holomorph_pair_arithmetic():
