@@ -277,14 +277,14 @@ def golden_text_argv(name, tmp_path):
         path = tmp_path / "catalog.txt"
         path.write_text(GOLDEN_CATALOGS[argv[1]])
         argv = [argv[0], str(path), *argv[2:]]
-    return [*argv, "--format", "text"], code
+    return argv, code
 
 
 @pytest.mark.filterwarnings("ignore:catalog is empty")
 @pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
 def test_text_golden_output(capsys, tmp_path, name):
     argv, want = golden_text_argv(name, tmp_path)
-    code, out = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "text")
     assert code == want
     assert out == (DATA / name).read_text(encoding="utf-8")
 
@@ -298,7 +298,7 @@ def test_json_renders_no_text(capsys, tmp_path, monkeypatch):
     for name in ("verify_case1_catalog.txt", "classify_case1.txt",
                  "residual_pair_witness.txt"):
         argv, want = golden_text_argv(name, tmp_path)
-        assert main([*argv[:-1], "json"]) == want
+        assert main([*argv, "--format", "json"]) == want
         json.loads(capsys.readouterr().out)
 
 
