@@ -378,15 +378,15 @@ def _cmd_catalog_validate(args) -> int:
 
 _COMMON = ("P", "FORMAT")
 _ORIENTATION = ("ORIENTATION", "MIXED_ORDER")
-_BOUNDS = ("K_MAX", "COMM_LEN", "COUNT_LIMIT")
+_BOUND_KEYS = ("K_MAX", "COMM_LEN", "COUNT_LIMIT")
 
 # name: (handler, settings); a command with "P" takes a presentation, which
 # main checks p for and parses into args.pres before the handler runs
 _COMMANDS = {
     "classify": (_cmd_classify, _COMMON + _ORIENTATION),
-    "generators": (_cmd_generators, _COMMON + _ORIENTATION + _BOUNDS),
+    "generators": (_cmd_generators, _COMMON + _ORIENTATION + _BOUND_KEYS),
     "residual": (_cmd_residual, _COMMON),
-    "verify": (_cmd_verify, _COMMON + _ORIENTATION + _BOUNDS + ("MAX_ORDER", "S_MAX")),
+    "verify": (_cmd_verify, _COMMON + _ORIENTATION + _BOUND_KEYS + ("MAX_ORDER", "S_MAX")),
     "catalog-validate": (_cmd_catalog_validate, ("FORMAT", "SEED")),
 }
 

@@ -184,19 +184,35 @@ def solve_diophantine(
 
 
 def multiplicative_order(c: int, p: int, s: int) -> int:
-    """Least e >= 1 with c**e == 1 mod p**s (c must be a unit mod p**s)."""
+    """Least e >= 1 with c**e == 1 mod p**s (c must be a unit mod p**s).
+
+    Closed form by the lifting-the-exponent lemma.  Let b = 1 for odd p and
+    b = 2 for p = 2, each capped at s, and let d be the order of c mod p^b.
+    The order mod p^s is a multiple of d, and x = c^d lies in 1 + p^b Z.
+    There LTE gives v_p(x^p - 1) = v_p(x - 1) + 1 (for p = 2 this needs
+    x = 1 mod 4, hence b = 2), so with v = v_p(c^d - 1) >= b, x has order
+    p^(s - min(v, s)) mod p^s, and c has order d p^(s - min(v, s)).  d comes
+    from peeling the prime factors off phi(p^b) = p^(b-1) (p - 1); v from
+    one power mod p^s and one valuation.
+    """
     require_prime(p)
     if s < 1:
         raise ValueError("need s >= 1")
-    modulus = p**s
     if c % p == 0:
         raise ValueError(f"{c} is not a unit mod {p}^{s}")
-    # group order phi(p^s) = p^(s-1) * (p-1); peel off prime factors
-    order = p ** (s - 1) * (p - 1)
+    b = min(s, 1 if p % 2 else 2)
+    d = p ** (b - 1) * (p - 1)
     for q in [p, *_prime_factors(p - 1)]:
-        while order % q == 0 and pow(c, order // q, modulus) == 1:
-            order //= q
-    return order
+        while d % q == 0 and pow(c, d // q, p**b) == 1:
+            d //= q
+    x = pow(c, d, p**s) - 1
+    if x == 0:  # v >= s
+        return d
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return d * p ** (s - v)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -214,9 +230,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_p_power(x: int, p: int) -> bool:
-    """True iff x == p**j for some j >= 0."""
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
+    """True iff x == p**j for some j >= 0, p prime.
+
+    With N the bit length of x >= 1, p^N >= 2^N > x, so x = p^j forces
+    j < N and x divides p^N; conversely a divisor of p^N has no prime
+    factor but p.  So one modular power decides it, with no division loop.
+    """
+    return x >= 1 and pow(p, x.bit_length(), x) == 0

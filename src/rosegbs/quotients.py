@@ -437,35 +437,26 @@ class HolomorphQuotient:
 
 
 def _unit_subgroup_order(units: Sequence[int], p: int, s: int) -> int:
-    """Order of the subgroup of (Z/p^s)^* generated by units, p prime.
+    """Order of the subgroup H of (Z/p^s)^* generated by units, p prime.
 
     For odd p, (Z/p^s)^* is cyclic, so the order is the lcm of the units'
-    orders.  For p = 2 and s >= 3, (Z/2^s)^* = <-1> x <5> with orders 2 and
-    2^(s-2), so c = (-1)^e 5^b maps the units onto vectors (e, b) of
-    Z/2 x Z/2^(s-2).  Together with (2, 0) and (0, 2^(s-2)) they span a
-    lattice of index g in Z^2, the gcd of its 2 x 2 minors, and the subgroup
-    has order 2^(s-1) / g.  (Z/2)^* is trivial and (Z/4)^* = <-1>.
+    orders.  For p = 2, (Z/2^s)^* = <-1> x <5> is not cyclic for s >= 3, but
+    U = {x = 1 mod 4} = <5> is.  Reduction mod 4 maps H onto <-1> exactly
+    when some unit is 3 mod 4 (none is once reduced mod 2^s with s = 1), so
+    [H : H n U] is 2 then and 1 otherwise.  H n U, that map's kernel, is
+    generated by the units that are 1 mod 4 and by c_0 c for every unit c
+    that is 3 mod 4, c_0 the first of them: a product of units with an even
+    number of factors 3 mod 4 is a product of those.  A subgroup of the
+    cyclic 2-group U has the largest order among its generators.
     """
     if p % 2:
         return math.lcm(*(multiplicative_order(c, p, s) for c in units))
-    if s <= 2:
-        return 2 if s == 2 and any(c % 4 == 3 for c in units) else 1
     q = 2**s
-    vectors = [(2, 0), (0, 2 ** (s - 2))]
-    for c in units:
-        e = c % 4 // 2
-        y = (-c if e else c) % q  # 1 mod 4, a power of 5
-        b, x, f = 0, 1, 5  # y = 5^b = x mod 2^(i+2), f = 5^(2^i) before step i
-        for i in range(s - 2):
-            if (y - x) % 2 ** (i + 3):
-                b += 2**i
-                x = x * f % q
-            f = f * f % q
-        vectors.append((e, b))
-    g = 0
-    for (e1, b1), (e2, b2) in itertools.combinations(vectors, 2):
-        g = math.gcd(g, e1 * b2 - e2 * b1)
-    return 2 ** (s - 1) // g
+    units = [c % q for c in units]
+    minus = [c for c in units if c % 4 == 3]
+    gens = [c for c in units if c % 4 == 1] + [minus[0] * c % q for c in minus]
+    index = 2 if minus else 1
+    return index * max((multiplicative_order(c, 2, s) for c in gens), default=1)
 
 
 def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:
@@ -508,6 +499,11 @@ def holomorph_quotient(pres: RoseGbs, p: int, s: int) -> HolomorphQuotient:
     return HolomorphQuotient(p, s, tuple(cs), h_order)
 
 
+#: The least order with more than 4,300 decimal digits, the most that Python
+#: converts an int to a string with by default.
+_UNPRINTABLE_ORDER = 10**4300
+
+
 # --- verdicts -----------------------------------------------------------------
 
 
@@ -545,6 +541,10 @@ class QuotientOracle:
     is 1 mod p (the others are 1).  As c_i = m_hat_i / n_hat_i mod p for
     every s > sigma_i, raising s only adds loops to that condition.  For
     p = 2 every unit has 2-power order, so H_s is always a 2-group.
+
+    A built holomorph whose order has more than 4,300 decimal digits raises
+    ValueError: Python converts no longer int to a string, so no report could
+    print it, and the witness of any word it separates prints its order.
     """
 
     def __init__(
@@ -566,10 +566,16 @@ class QuotientOracle:
         self._verdicts: dict[Word, Verdict] = {}
         for s in range(1, budget.s_max + 1):
             try:
-                self.holomorphs.append(holomorph_quotient(pres, p, s))
+                target = holomorph_quotient(pres, p, s)
             except HolomorphUnavailable as exc:
                 self.holomorph_unavailable = f"s={s}: {exc}"
                 break
+            if target.order >= _UNPRINTABLE_ORDER:
+                raise ValueError(
+                    f"the holomorph at s={s} has an order of more than 4300"
+                    f" digits, too long to print; set --budget.s-max below {s}"
+                )
+            self.holomorphs.append(target)
         built = [(g.name, self.homs_for(g)) for g in self.groups]
         self.skipped_groups = [name for name, t in built if t is None]
         self.targets: list[CatalogHoms | HolomorphQuotient] = [

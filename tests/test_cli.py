@@ -181,6 +181,25 @@ def test_verify_holomorph_blowup_is_inconclusive(capsys, schema):
     )
 
 
+@pytest.mark.filterwarnings("ignore:no catalog available")
+def test_verify_unprintable_order_exits_2(capsys):
+    # the holomorph at s has order 101^(2s - 1): 4,300 digits at s = 1073,
+    # the most an int prints with, and 4,304 at s = 1074
+    argv = ["verify", "-p", "101", "<a,t1 | t1 a^1 t1^-1 = a^102>", "--budget.s-max"]
+    assert main(argv + ["1073", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["holomorph_s"][-1] == 1073
+    errs = []
+    for fmt in ("json", "text"):
+        assert main(argv + ["1074", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1] == (
+        "error: the holomorph at s=1074 has an order of more than 4300 digits,"
+        " too long to print; set --budget.s-max below 1074\n"
+    )
+
+
 def test_verify_case2_json(capsys, schema):
     code, rep = run_json(capsys, "verify", "-p", "2", PRES_CASE2,
                          "--bounds.k-max", "1")

@@ -137,12 +137,11 @@ def test_solve_diophantine_exact(coeffs, target):
         assert sol is None
 
 
-def brute_order(c: int, modulus: int) -> int:
-    acc, e = c % modulus, 1
-    while acc != 1:
-        acc = acc * c % modulus
-        e += 1
-    return e
+def brute_order(c: int, p: int, s: int) -> int:
+    """The least divisor e of phi(p^s) = p^(s-1) (p - 1) with c^e = 1 mod
+    p^s, trying every divisor in turn (the order divides the group order)."""
+    divisors = (f * p**k for f in range(1, p) if (p - 1) % f == 0 for k in range(s))
+    return next(e for e in sorted(divisors) if pow(c, e, p**s) == 1)
 
 
 def test_multiplicative_order_examples():
@@ -154,12 +153,14 @@ def test_multiplicative_order_examples():
         multiplicative_order(6, 3, 2)
 
 
-@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=500))
-def test_multiplicative_order_brute(p, s, c):
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=10**4))
+def test_multiplicative_order_brute(p, s, k, c):
+    # negative units and units past p^s: c + k p^s has c's order
     if c % p == 0:
         return
-    assert multiplicative_order(c, p, s) == brute_order(c, p**s)
+    assert multiplicative_order(c + k * p**s, p, s) == brute_order(c, p, s)
+    assert multiplicative_order(-c, p, s) == brute_order(-c, p, s)
 
 
 def test_unit_order_lemma_seeded():
@@ -176,11 +177,26 @@ def test_unit_order_lemma_seeded():
         assert is_p_power(multiplicative_order(c, p, s), p)
 
 
+def p_power_by_division(x: int, p: int) -> bool:
+    if x < 1:
+        return False
+    while x % p == 0:
+        x //= p
+    return x == 1
+
+
 def test_is_p_power():
     assert is_p_power(1, 3)
     assert is_p_power(8, 2)
     assert not is_p_power(12, 2)
     assert not is_p_power(0, 2)
+    for p in (2, 3, 5, 7, 101):
+        for x in range(-5, 5001):
+            assert is_p_power(x, p) == p_power_by_division(x, p), (x, p)
+        for k in (*range(12), 97, 500, 1000):
+            for m in (1, 2, 3, p - 1, p + 1, 2 * p + 1, 1 + p**3):
+                x = p**k * m
+                assert is_p_power(x, p) == p_power_by_division(x, p), (k, m, p)
 
 
 def test_is_prime():

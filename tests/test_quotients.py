@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rosegbs.classifier import Case, Orientation
 from rosegbs.generators import Bounds
-from rosegbs.numtheory import inverse_mod
+from rosegbs.numtheory import inverse_mod, multiplicative_order
 from rosegbs.pcgroup import builtin_catalog
 from rosegbs.presentation import RoseGbs, Word, generator, parse_word, reduce
 from rosegbs.quotients import (
@@ -812,24 +812,42 @@ def test_unit_subgroup_order_matches_bfs():
             for _ in range(rng.randint(1, 3))
         ]
         assert _unit_subgroup_order(units, p, s) == bfs_unit_subgroup_order(units, q)
+        # the same residues, negated or past q
+        shifted = [c + rng.randint(-3, 3) * q for c in units]
+        assert _unit_subgroup_order(shifted, p, s) == bfs_unit_subgroup_order(units, q)
+        negated = [-c for c in units]
+        assert _unit_subgroup_order(negated, p, s) == bfs_unit_subgroup_order(negated, q)
     for s in range(1, 13):  # (Z/2^s)^* = <-1> x <5>, not cyclic for s >= 3
         q = 2**s
         for _ in range(40):
-            units = [rng.randrange(1, q, 2) for _ in range(rng.randint(1, 3))]
+            units = [
+                rng.randrange(1, q, 2) + rng.randint(-3, 3) * q
+                for _ in range(rng.randint(1, 3))
+            ]
             assert _unit_subgroup_order(units, 2, s) == bfs_unit_subgroup_order(units, q)
     assert _unit_subgroup_order([3], 2, 4) == bfs_unit_subgroup_order([3], 16)
     assert _unit_subgroup_order([3], 2, 64) == 2**62
 
 
 def test_unit_subgroup_order_at_depth():
-    # one squaring of 5^(2^i) mod 2^s per bit: milliseconds at s = 2048, where
-    # a fresh pow per bit took seconds per call
+    # one valuation per generator in closed form, no search over the bits of
+    # the order: milliseconds at s = 2048
     s = 2048
     start = time.perf_counter()
     assert _unit_subgroup_order([3], 2, s) == 2 ** (s - 2)
     assert _unit_subgroup_order([5], 2, s) == 2 ** (s - 2)
     assert _unit_subgroup_order([-1, 5], 2, s) == 2 ** (s - 1)
     assert time.perf_counter() - start < 1
+
+
+def test_unit_orders_in_closed_form_at_depth():
+    # a search that peels one factor of p per step with a fresh pow mod p^s
+    # takes seconds here; the closed form takes one valuation per unit
+    start = time.perf_counter()
+    assert _unit_subgroup_order([6, 7], 5, 2048) == 4 * 5**2047
+    assert multiplicative_order(2, 5, 2048) == 4 * 5**2047
+    assert multiplicative_order(3, 2, 2048) == 2**2046
+    assert time.perf_counter() - start < 0.25
 
 
 def test_holomorph_pair_arithmetic():
