@@ -21,29 +21,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .numtheory import is_p_power, p_valuation, require_prime
 from .presentation import RoseGbs, Word, commutator, conjugate, generator, reduce
 
 
-class _InfinityType:
-    """Distinguished infinite value for theta (not an integer sentinel)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _InfinityType()
-
-Theta = Union[int, _InfinityType]
+#: The infinite value of theta: a float that compares above every int, never
+#: an integer sentinel.
+INFINITY = math.inf
 
 
 class Orientation(enum.Enum):
@@ -75,11 +61,11 @@ class LoopData:
     d: int
     u: int
     v: int
-    theta: Theta
+    theta: int | float  # an int, or INFINITY
 
     @property
     def theta_finite(self) -> bool:
-        return not isinstance(self.theta, _InfinityType)
+        return self.theta != INFINITY
 
     def is_elementary(self) -> bool:
         return abs(self.n) == 1 and abs(self.m) == 1
@@ -110,7 +96,6 @@ class Classification:
 class ExponentData:
     """The (y, y_bar, delta) data of one exponent vector k."""
 
-    k: tuple[int, ...]
     y: int
     y_bar: int
     delta: int
@@ -155,7 +140,6 @@ def loop_data(
             u, v = n_hat // d, m_hat // d
         else:
             u, v = m_hat // d, n_hat // d
-        theta: Theta
         if sigma == tau and (m_hat - n_hat) % p == 0:
             theta = INFINITY
         else:
@@ -206,7 +190,7 @@ def exponent_data(loops: Sequence[LoopData], k: Sequence[int]) -> ExponentData:
         elif ki < 0:
             y *= L.v ** (-ki)
             y_bar *= L.u ** (-ki)
-    return ExponentData(tuple(k), y, y_bar, math.gcd(abs(y), abs(y_bar)))
+    return ExponentData(y, y_bar, math.gcd(abs(y), abs(y_bar)))
 
 
 # --- residual finite-p test -------------------------------------------------

@@ -78,10 +78,6 @@ class GeneratorSet:
     truncated: bool = False
     dropped_trivial: int = 0
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(e.word for e in self.entries)
-
 
 def case1_generators(cls: Classification) -> GeneratorSet:
     """The single generator a^(p^xi)."""
@@ -112,8 +108,6 @@ def _gamma2(cls: Classification, bounds: Bounds) -> Iterator[GeneratorEntry]:
             for f_abs in range(1, half - e_abs + 1):
                 for e, f in itertools.product((e_abs, -e_abs), (f_abs, -f_abs)):
                     w = commutator(generator(i, e), generator(j, f))
-                    if w.length() > max_len:
-                        continue
                     name = f"[t{i}^{e},t{j}^{f}]"
                     # w, then its conjugates by single stable letters
                     conjugates = (

@@ -7,6 +7,7 @@ valuations) so each can serve as an oracle for the other.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -26,21 +27,29 @@ DiophantineSolution = tuple
 MAX_PRIME = 2**31
 
 
+@functools.lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n in increasing order, () below 2, by
+    trial division by 2 and the odd numbers.  The one trial-division loop of
+    the package; cached, since every holomorph level asks again about p (the
+    prime gate) and p - 1 (multiplicative_order)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (exact for every n; fast
     only up to MAX_PRIME, so callers gate p through require_prime)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(n) == (n,)
 
 
 def require_prime(p: int) -> None:
@@ -208,25 +217,7 @@ def multiplicative_order(c: int, p: int, s: int) -> int:
     x = pow(c, d, p**s) - 1
     if x == 0:  # v >= s
         return d
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return d * p ** (s - v)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return d * p ** (s - p_valuation(x, p).valuation)
 
 
 def is_p_power(x: int, p: int) -> bool:

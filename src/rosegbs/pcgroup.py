@@ -26,9 +26,9 @@ A finished group evaluates words in one place, PcGroup.evaluate: the left
 fold acc = acc x^e of table gathers over the power maps, on codes or on
 broadcast arrays of codes.  The relation re-check and the automorphism search
 evaluate both sides of the same relation list, PcGroup._relations (power
-relations first, then commutator relations), and the quotient oracle
-evaluates its loop relations and single words through it too
-(quotients.evaluate_words runs the same fold over many words at once).
+relations first, then commutator relations), and the quotient oracle evaluates
+single words through it (quotients.evaluate_words runs the same fold over many
+words at once; quotients.loop_tables gathers the table and power maps itself).
 
 The catalog file format (line-oriented, '#' comments):
 
@@ -669,20 +669,10 @@ def builtin_catalog(p: int) -> tuple[PcGroup, ...]:
             f" <= {p}^2 only",
             stacklevel=2,
         )
-        groups = tuple(
-            load_catalog_text(
-                "\n".join(
-                    [
-                        f"group C{p} p={p} n=1",
-                        "end",
-                        f"group C{p * p} p={p} n=2",
-                        "pow 1 = g2",
-                        "end",
-                        f"group C{p}x2 p={p} n=2",
-                        "end",
-                    ]
-                )
-            )
+        groups = (
+            PcGroup(PcPresentation(f"C{p}", p, 1)),
+            PcGroup(PcPresentation(f"C{p * p}", p, 2, {1: ((2, 1),)})),  # g1^p = g2
+            PcGroup(PcPresentation(f"C{p}x2", p, 2)),
         )
     else:
         warnings.warn(

@@ -196,12 +196,13 @@ class _Cursor:
             raise ParseError(f"expected {want!r}, found {v or 'end of input'!r}", pos)
         return k, v, pos
 
-    def expect_int(self, *, nonzero: bool = True) -> tuple[int, int]:
+    def expect_int(self) -> tuple[int, int]:
+        """The next token as a nonzero integer, with its position."""
         k, v, pos = self.next()
         if k != "int":
             raise ParseError(f"expected integer, found {v or 'end of input'!r}", pos)
         value = int(v)
-        if nonzero and value == 0:
+        if value == 0:
             raise ParseError("zero exponent", pos)
         return value, pos
 

@@ -85,8 +85,8 @@ at all; the paper's a^(p^sigma) blocks and repeated stable-letter powers
 mostly vanish this way.
 
 QuotientOracle.verdicts(words) takes all of a verify run's checks in one
-pass: the words without a verdict yet go to each target, in scan order,
-together, and a word leaves the batch at the first target that separates it.
+pass: the distinct words go to each target, in scan order, together, and a
+word leaves the batch at the first target that separates it.
 So each word meets the same targets in the same order as in a sweep of its
 own, and its verdict is unchanged, provided each target separates a word of
 the batch exactly when and as it would separate the word alone.  It does: on
@@ -100,12 +100,6 @@ targets up to it), max_order and the witness are those of the per-word
 sweep.  The batch goes to evaluate_words in chunks of whole words (at most
 _EVAL_BLOCK letter images a call), and cutting a batch leaves each word's
 row as it is.
-
-Verdicts are memoised per word for the oracle's lifetime.  The targets,
-their order and their homs are fixed by the presentation, p, the budget and
-the catalog, so a verdict depends only on the oracle and the word: a repeated
-word (the alternate mixed families repeat containment words) gets an equal
-Verdict, with the same homs_tested and witness, without a second sweep.
 
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
@@ -208,11 +202,17 @@ def evaluate_words(
     (a, t_1, .., t_r), as an int32 array of len(words) rows.
 
     Row k is PcGroup.evaluate(words[k].letters, imgs), the left fold
-    acc = acc x^e over the word's letters, and one word is evaluated by it
-    directly.  Several words are sorted by length, longest first, and their
-    letters packed position by position: the images x^e of all letters are one
-    gather, and the l-th letters of the words longer than l are a run of
-    consecutive rows that one table gather folds into the first rows of acc.
+    acc = acc x^e over the word's letters.  Several words are sorted by
+    length, longest first, and their letters packed position by position: the
+    images x^e of all letters are one gather, and the l-th letters of the
+    words longer than l are a run of consecutive rows that one table gather
+    folds into the first rows of acc.
+
+    One word is evaluated by PcGroup.evaluate directly, since packing costs
+    more than it saves there: one 4-letter word over D8's 13 representatives
+    took 16.3 us packed against 10.4 us by PcGroup.evaluate (2-core Xeon VM,
+    numpy 2.4), and a pass of the stream benchmark makes 2,194 single-word
+    calls.
     """
     if len(words) == 1 and words[0].letters:
         return group.evaluate(words[0].letters, imgs)[None]
@@ -563,7 +563,6 @@ class QuotientOracle:
         self.groups = [g for g in catalog if g.order <= budget.max_order]
         self.holomorphs: list[HolomorphQuotient] = []
         self.holomorph_unavailable: Optional[str] = None
-        self._verdicts: dict[Word, Verdict] = {}
         for s in range(1, budget.s_max + 1):
             try:
                 target = holomorph_quotient(pres, p, s)
@@ -606,17 +605,19 @@ class QuotientOracle:
 
     def verdict(self, w: Word) -> Verdict:
         """The first target, in order, that separates w, with the homs tested
-        up to it; memoised per word (see the module docstring)."""
+        up to it."""
         return self.verdicts([w])[0]
 
     def verdicts(self, words: Sequence[Word]) -> list[Verdict]:
         """The verdict of each word, as verdict() gives it, from one pass over
-        the targets: the words without a memoised verdict go to each target
-        in scan order together, and a word leaves at the first target that
-        separates it."""
+        the targets: the distinct words go to each target in scan order
+        together, and a word leaves at the first target that separates it; a
+        repeated word (the alternate mixed families repeat containment words)
+        is swept once."""
         if any(w.max_gen() > self.pres.r for w in words):
             raise ValueError("word uses a stable letter outside the presentation")
-        todo = [w for w in dict.fromkeys(words) if w not in self._verdicts]
+        todo = list(dict.fromkeys(words))
+        found: dict[Word, Verdict] = {}
         tested = max_order = 0
         for target in self.targets:
             if not todo:
@@ -628,11 +629,11 @@ class QuotientOracle:
                 if witness is None:
                     rest.append(w)
                 else:
-                    self._verdicts[w] = Verdict(w, True, tested, max_order, witness)
+                    found[w] = Verdict(w, True, tested, max_order, witness)
             todo = rest
         for w in todo:
-            self._verdicts[w] = Verdict(w, False, tested, max_order)
-        return [self._verdicts[w] for w in words]
+            found[w] = Verdict(w, False, tested, max_order)
+        return [found[w] for w in words]
 
 
 # --- whole-theorem verification -------------------------------------------------

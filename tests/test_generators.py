@@ -123,7 +123,7 @@ def test_kmax_monotone_superset():
     for k in (1, 2):
         small = np_omega_generators(pres((3, 1), (5, 1)), 2, Bounds(k_max=k))
         big = np_omega_generators(pres((3, 1), (5, 1)), 2, Bounds(k_max=k + 1))
-        assert set(small.words) <= set(big.words)
+        assert {e.word for e in small.entries} <= {e.word for e in big.entries}
 
 
 def test_count_limit_truncation():
@@ -177,4 +177,4 @@ def test_serialization_format():
     from rosegbs.presentation import parse_word
 
     for i in range(1, len(lines), 2):
-        assert parse_word(lines[i], pres((3, 1))) in set(gs.words)
+        assert parse_word(lines[i], pres((3, 1))) in {e.word for e in gs.entries}

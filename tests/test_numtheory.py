@@ -205,6 +205,43 @@ def test_is_prime():
     ]
 
 
+def prime_by_odd_steps(n: int) -> bool:
+    """Independent oracle: trial division by 2, then by the odd numbers."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_odd_step_division():
+    near_2_31 = [n for n in range(2**31 - 100, 2**31 + 12) if prime_by_odd_steps(n)]
+    assert near_2_31[-2:] == [2**31 - 1, 2**31 + 11]
+    for n in [*range(-5, 5001), *near_2_31]:
+        assert is_prime(n) == prime_by_odd_steps(n), n
+
+
+def test_holomorph_levels_trial_divide_p_once():
+    """A deep holomorph sweep at p = 2^31 - 1 trial-divides p (the prime gate)
+    and p - 1 (the unit orders) once each, not once per level."""
+    from rosegbs import Budget, parse_presentation, verify_theorem
+    from rosegbs.numtheory import _prime_factors
+
+    p = MAX_PRIME - 1
+    pres = parse_presentation(
+        f"<a,t1,t2 | t1 a^1 t1^-1 = a^{p + 1} ; t2 a^2 t2^-1 = a^{p + 2}>"
+    )
+    _prime_factors.cache_clear()
+    rep = verify_theorem(pres, p, budget=Budget(max_order=0, s_max=50))
+    assert rep.holomorph_s == tuple(range(1, 51))
+    assert _prime_factors.cache_info().misses <= 2
+
+
 #: 2^61 - 1, a Mersenne prime: trial division would take minutes on it.
 M61 = 2**61 - 1
 
