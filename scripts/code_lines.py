@@ -11,7 +11,6 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import sys
@@ -45,12 +44,9 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("package", nargs="?", type=Path,
-                    default=Path(__file__).resolve().parent.parent / "src" / "rosegbs",
-                    help="package directory (default: src/rosegbs)")
+    package = Path(__file__).resolve().parent.parent / "src" / "rosegbs"
     total = 0
-    for path in sorted(ap.parse_args().package.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{path.name:<16} {n:>6}")

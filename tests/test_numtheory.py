@@ -199,12 +199,6 @@ def test_is_p_power():
                 assert is_p_power(x, p) == p_power_by_division(x, p), (k, m, p)
 
 
-def test_is_prime():
-    assert [n for n in range(60) if is_prime(n)] == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-    ]
-
-
 def prime_by_odd_steps(n: int) -> bool:
     """Independent oracle: trial division by 2, then by the odd numbers."""
     if n < 2:
@@ -219,7 +213,10 @@ def prime_by_odd_steps(n: int) -> bool:
     return True
 
 
-def test_is_prime_matches_odd_step_division():
+def test_is_prime():
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
     near_2_31 = [n for n in range(2**31 - 100, 2**31 + 12) if prime_by_odd_steps(n)]
     assert near_2_31[-2:] == [2**31 - 1, 2**31 + 11]
     for n in [*range(-5, 5001), *near_2_31]:
