@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run the quotient oracle over a battery of presentations and print one
 status line per run, including the orientation and letter-order adjudication
-for the case-2 inputs.
+for the case-2 inputs, and how many emitted generators are 1 in G (britton).
+
+Exits 1 on a theorem violation, or where the paper's corollary fails: G is
+residually p exactly when every emitted generator is 1 in G.
 
 Example:
     python scripts/verify_examples.py --k-max 2 --s-max 6
@@ -10,7 +13,7 @@ Example:
 import argparse
 import time
 
-from rosegbs import Bounds, Budget, RoseGbs, verify_theorem
+from rosegbs import Bounds, Budget, RoseGbs, britton, residually_p, verify_theorem
 
 BATTERY = [
     # (loops, p, catalog max order)
@@ -47,8 +50,11 @@ def main() -> int:
         cls = rep.classification
         case = (f"case 1, xi={cls.xi}" if cls.xi is not None
                 else f"case 2, Sigma={cls.sigma_total}")
+        entries = rep.generator_set.entries
+        trivial = sum(not britton(pres, e.word).letters for e in entries)
         line = (f"{str(pairs):24s} p={p}  {case:18s} status={rep.status:6s} "
-                f"checks={len(rep.checks):3d}  {dt:5.2f}s")
+                f"checks={len(rep.checks):3d}  trivial={trivial}/{len(entries)}"
+                f"  {dt:5.2f}s")
         if rep.orientation_report:
             seps = rep.orientation_report["separations"]
             line += f"  orientation separations={seps}"
@@ -57,6 +63,9 @@ def main() -> int:
             print(f"    inconclusive: {msg}")
         for c in rep.violations:
             print(f"    VIOLATION: {c.family} {c.detail} {c.word}")
+            worst = 1
+        if (trivial == len(entries)) != residually_p(pres, p).decision:
+            print("    COROLLARY: residually_p disagrees with the trivial generators")
             worst = 1
     return worst
 

@@ -53,6 +53,7 @@ from .presentation import (
     PresentationError,
     RoseGbs,
     Word,
+    britton,
     commutator,
     conjugate,
     generator,

@@ -12,7 +12,9 @@ truncated here under explicit user-visible bounds:
     (y, y_bar, delta) computed from the unit parts of the loops.
 
 S is the sigma sum of the case-2 classification.  Instances that reduce to
-the empty word (for instance every k = 0 vector) are dropped and counted.
+the empty word (for instance every k = 0 vector) are dropped without being
+counted; an instance that repeats an earlier word of the union is dropped and
+counted in GeneratorSet.dropped_trivial.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class GeneratorEntry:
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """The emitted generators, in family order.  truncated says the count
+    limit cut the union; dropped_trivial counts the family members dropped
+    as repeats of an earlier word (not the words that reduce to the empty
+    word, which are dropped uncounted, nor the words trivial in G)."""
+
     case: Case
     entries: tuple[GeneratorEntry, ...]
     truncated: bool = False

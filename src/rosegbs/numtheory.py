@@ -27,37 +27,44 @@ DiophantineSolution = tuple
 MAX_PRIME = 2**31
 
 
-@functools.lru_cache(maxsize=64)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct prime factors of n in increasing order, () below 2, by
-    trial division by 2 and the odd numbers.  The one trial-division loop of
-    the package; cached, since every holomorph level asks again about p (the
-    prime gate) and p - 1 (multiplicative_order)."""
-    out = []
+def _trial_division(n: int):
+    """The distinct prime factors of n in increasing order (none for n < 2),
+    yielded one at a time by trial division by 2 and the odd numbers.  The
+    one trial-division loop of the package: a caller that needs only the
+    least prime factor stops after the first."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return tuple(out)
+        yield n
+
+
+@functools.lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n in increasing order, () below 2;
+    cached, since every holomorph level asks again about p (the prime gate)
+    and p - 1 (multiplicative_order)."""
+    return tuple(_trial_division(n))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (exact for every n; fast
-    only up to MAX_PRIME, so callers gate p through require_prime)."""
-    return _prime_factors(n) == (n,)
+    """Deterministic primality by trial division, which stops at the least
+    prime factor (exact for every n; fast only up to MAX_PRIME or for an n
+    with a small factor)."""
+    return next(_trial_division(n), None) == n
 
 
 def require_prime(p: int) -> None:
     """The one prime gate: ValueError unless p is a prime at most MAX_PRIME.
-    The bound is tested before any trial division, so no p takes long."""
+    The bound is tested before any trial division, so no p takes long, and p
+    is factored through the cache, so asking again costs nothing."""
     if p > MAX_PRIME:
         raise ValueError(f"p must be at most 2^31, got {p}")
-    if not is_prime(p):
+    if _prime_factors(p) != (p,):
         raise ValueError(f"{p} is not prime")
 
 

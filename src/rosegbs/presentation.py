@@ -8,6 +8,7 @@ exponents cost O(1) storage.  All values are immutable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,6 +136,90 @@ def reduce(letters: Iterable[Letter], modulus: int = 0) -> Word:
         if exp:
             stack.append((gen, exp))
     return Word(tuple(stack))
+
+
+def britton(pres: RoseGbs, w: Word) -> Word:
+    """The pinch-free form of w in G: w is 1 in G iff it has no letters.
+
+    A pinch replaces t_i a^k t_i^(-1) by a^(k m_i / n_i) when n_i | k, and
+    t_i^(-1) a^k t_i by a^(k n_i / m_i) when m_i | k.  By Britton's lemma
+    (Britton, "The word problem", Ann. of Math. 77, 1963; Lyndon & Schupp,
+    Combinatorial Group Theory, ch. IV, sec. 2) a freely reduced word with a
+    stable letter and no pinch is not 1 in G, and a^k is 1 only for k = 0.
+
+    One left-to-right pass keeps a pinch-free stack of syllables, a^k or a
+    whole run t_i^e.  An incoming run merges with a run of its letter on top,
+    and a remainder of its own sign is pushed again, as it may pinch against
+    the new top; a remainder of the top's sign pinches no more than the top
+    did.  An incoming run t_i^e against t_i^f a^k (opposite signs) takes as
+    many pinches at once as are valid (_pinch), so a deep nest such as
+    t^(-N) a^(3^N) t^N costs one step, not N.
+    """
+    stack: list[Letter] = []
+    for gen, exp in w.letters:
+        if gen == 0:
+            _push_a(stack, exp)
+            continue
+        loop = pres.loops[gen - 1]
+        while exp:
+            if stack and stack[-1][0] == gen:
+                f = stack.pop()[1]
+                exp += f
+                if exp and (exp > 0) == (f > 0):
+                    stack.append((gen, exp))
+                    break
+                continue
+            if len(stack) > 1 and stack[-1][0] == 0 and stack[-2][0] == gen:
+                f = stack[-2][1]
+                if (f > 0) != (exp > 0):
+                    div, mul = (loop.n, loop.m) if f > 0 else (loop.m, loop.n)
+                    j, k = _pinch(stack[-1][1], div, mul, min(abs(f), abs(exp)))
+                    if j:
+                        del stack[-2:]
+                        f -= j if f > 0 else -j
+                        exp -= j if exp > 0 else -j
+                        if f:
+                            stack.append((gen, f))
+                        _push_a(stack, k)
+                        continue
+            stack.append((gen, exp))
+            break
+    return Word(tuple(stack))
+
+
+def _push_a(stack: list[Letter], k: int) -> None:
+    """Push a^k, merged with an a^k' on top."""
+    if stack and stack[-1][0] == 0:
+        k += stack.pop()[1]
+    if k:
+        stack.append((0, k))
+
+
+def _pinch(k: int, div: int, mul: int, most: int) -> tuple[int, int]:
+    """(j, k_j): the most pinches j <= most that a^k admits, each taking a^x
+    to a^(x mul / div) when div | x, and the exponent after them.
+
+    With g = gcd(div, mul), d = |div| / g and u = mul / g (gcd(d, u) = 1),
+    j pinches are valid iff div d^(j-1) | k: if k = g d^i y, i pinches leave
+    +-g u^i y, and div | g u^i y iff d | y.  The largest i <= most - 1 with
+    d^i | k / div is found by squaring d repeatedly, then dividing by the
+    squares from the largest down."""
+    if k % div:
+        return 0, k
+    g = math.gcd(div, mul)
+    d, u = abs(div) // g, mul // g
+    j = most
+    if d > 1:
+        x, j = k // div, 1
+        squares = [d]
+        while 2 ** len(squares) < most and x % squares[-1] == 0:
+            squares.append(squares[-1] ** 2)
+        for b in reversed(range(len(squares))):
+            if j + 2**b <= most and x % squares[b] == 0:
+                x //= squares[b]
+                j += 2**b
+    sign = -1 if div < 0 and j % 2 else 1
+    return j, sign * k // d**j * u**j
 
 
 def generator(gen: GenIndex, exp: int = 1) -> Word:

@@ -101,6 +101,15 @@ sweep.  The batch goes to evaluate_words in chunks of whole words (at most
 _EVAL_BLOCK letter images a call), and cutting a batch leaves each word's
 row as it is.
 
+A word that is 1 in G (presentation.britton reduces it to the empty word)
+is not sent to any target: for every homomorphism phi of G, phi(w) = phi(1)
+= 1, so no target separates it, and the pass would carry it through all of
+them to the survivors' verdict, in_all_kernels with homs_tested the homs of
+every target and max_order the largest target order (0 and 0 with no
+targets).  verdicts gives it exactly that verdict.  Britton's lemma decides
+only the word problem of G: a word that is not 1 in G but lies in N_omega
+still goes through the pass, and surviving it stays one-sided.
+
 A word separated by some homomorphism is definitely outside the intersection
 of p-power-index kernels; surviving every tested target is one-sided evidence
 of membership, never proof.  Witness reporting is deterministic: targets are
@@ -141,7 +150,7 @@ from .numtheory import (
     require_prime,
 )
 from .pcgroup import MAX_ASSIGNMENTS, PcGroup, builtin_catalog
-from .presentation import RoseGbs, Word, generator
+from .presentation import RoseGbs, Word, britton, generator
 
 
 @dataclass(frozen=True)
@@ -613,27 +622,23 @@ class QuotientOracle:
         the targets: the distinct words go to each target in scan order
         together, and a word leaves at the first target that separates it; a
         repeated word (the alternate mixed families repeat containment words)
-        is swept once."""
+        is swept once, and a word that is 1 in G not at all (see the module
+        docstring)."""
         if any(w.max_gen() > self.pres.r for w in words):
             raise ValueError("word uses a stable letter outside the presentation")
-        todo = list(dict.fromkeys(words))
+        todo = [w for w in dict.fromkeys(words) if britton(self.pres, w).letters]
         found: dict[Word, Verdict] = {}
         tested = max_order = 0
         for target in self.targets:
-            if not todo:
-                break
             tested += target.homs
             max_order = max(max_order, target.order)
-            rest = []
-            for w, witness in zip(todo, target.separate(todo)):
-                if witness is None:
-                    rest.append(w)
-                else:
-                    found[w] = Verdict(w, True, tested, max_order, witness)
-            todo = rest
-        for w in todo:
-            found[w] = Verdict(w, False, tested, max_order)
-        return [found[w] for w in words]
+            if todo:
+                witnesses = target.separate(todo)
+                for w, witness in zip(todo, witnesses):
+                    if witness is not None:
+                        found[w] = Verdict(w, True, tested, max_order, witness)
+                todo = [w for w, witness in zip(todo, witnesses) if witness is None]
+        return [found.get(w) or Verdict(w, False, tested, max_order) for w in words]
 
 
 # --- whole-theorem verification -------------------------------------------------

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from rosegbs.classifier import Case, Orientation, classify
+from rosegbs.classifier import Case, Orientation, classify, residually_p
 from rosegbs.generators import (
     Bounds,
     MixedOrder,
@@ -12,7 +14,7 @@ from rosegbs.generators import (
     np_omega_generators,
     serialize_generators,
 )
-from rosegbs.presentation import RoseGbs, print_word, reduce
+from rosegbs.presentation import RoseGbs, britton, print_word, reduce
 
 
 def pres(*pairs):
@@ -178,3 +180,30 @@ def test_serialization_format():
 
     for i in range(1, len(lines), 2):
         assert parse_word(lines[i], pres((3, 1))) in {e.word for e in gs.entries}
+
+
+def test_residually_p_iff_every_generator_is_one():
+    """The paper's corollary: G is residually p exactly when N_omega is
+    trivial, i.e. when every emitted generator is 1 in G (britton).  Seeded
+    presentations with r <= 3 and |n|, |m| <= 12, at p = 2, 3, 5; half the
+    loops are n = +-p^s, m = +-n, so that residually p groups are common."""
+    rng = random.Random(28)
+    exponents = [e for e in range(-12, 13) if e]
+    bounds = Bounds(k_max=1, comm_word_len=4)
+    decided = []
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5])
+        powers = [s * p**j for j in range(3) if p**j <= 12 for s in (1, -1)]
+        loops = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                n = rng.choice(powers)
+                loops.append((n, rng.choice([n, -n])))
+            else:
+                loops.append((rng.choice(exponents), rng.choice(exponents)))
+        pr = pres(*loops)
+        gens = np_omega_generators(pr, p, bounds)
+        trivial = all(not britton(pr, e.word).letters for e in gens.entries)
+        assert trivial == residually_p(pr, p).decision, (str(pr), p)
+        decided.append(trivial)
+    assert 300 < sum(decided) < 2700, sum(decided)  # both answers are common

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -237,6 +238,14 @@ def test_holomorph_levels_trial_divide_p_once():
     rep = verify_theorem(pres, p, budget=Budget(max_order=0, s_max=50))
     assert rep.holomorph_s == tuple(range(1, 51))
     assert _prime_factors.cache_info().misses <= 2
+
+
+def test_is_prime_stops_at_the_least_factor():
+    """2 (2^61 - 1) is even: is_prime answers at the first trial divisor,
+    where factoring it completely would take about 1.5e9 steps."""
+    start = time.perf_counter()
+    assert not is_prime(2 * (2**61 - 1))
+    assert time.perf_counter() - start < 1
 
 
 #: 2^61 - 1, a Mersenne prime: trial division would take minutes on it.

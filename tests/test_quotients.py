@@ -12,10 +12,13 @@ from rosegbs.classifier import Case, Orientation
 from rosegbs.generators import Bounds
 from rosegbs.numtheory import inverse_mod, multiplicative_order
 from rosegbs.pcgroup import builtin_catalog
-from rosegbs.presentation import RoseGbs, Word, generator, parse_word, reduce
+from rosegbs.presentation import (
+    RoseGbs, Word, conjugate, generator, parse_word, reduce,
+)
 from rosegbs.quotients import (
     Budget,
     CatalogHoms,
+    HolomorphQuotient,
     HolomorphUnavailable,
     QuotientOracle,
     Verdict,
@@ -557,6 +560,78 @@ def test_verdicts_batch_mixes_target_kinds():
     for w, v in zip(words, got):
         assert v == QuotientOracle(pr, 2, budget).verdict(w)
         assert v == full_sweep_verdict(oracle, w)
+
+
+# --- words that are 1 in G skip the pass ------------------------------------------
+
+
+@st.composite
+def trivial_word_batches(draw):
+    """oracle_cases' presentation and catalog, and a batch of words with
+    repeats, drawn from: its word w, a conjugate r of a loop relator, the
+    product of two (both 1 in G), w r w^-1 (1 in G), w r (1 in G only when w
+    is) and the empty word, and a nest t_i^e a^k t_i^-e (never 1 in G,
+    pinched or not)."""
+    p, pr, w, groups = draw(oracle_cases())
+    conjugators = st.lists(
+        st.tuples(st.integers(0, pr.r), st.integers(-3, 3)), max_size=4
+    ).map(reduce)
+
+    stable = st.integers(1, pr.r)
+
+    def relator_conjugate():
+        i = draw(stable)
+        loop = pr.loops[i - 1]
+        rel = reduce([(i, 1), (0, loop.n), (i, -1), (0, -loop.m)])
+        return conjugate(rel, draw(conjugators))
+
+    r1, r2 = relator_conjugate(), relator_conjugate()
+    pool = [w, r1, reduce(r1.letters + r2.letters), conjugate(r2, w),
+            reduce(w.letters + r1.letters), Word()]
+    t = generator(draw(stable), draw(st.sampled_from([-2, -1, 1, 2])))
+    nest = conjugate(generator(0, draw(st.integers(1, 12))), t)
+    batch = draw(st.lists(st.sampled_from(pool), max_size=9)) + [nest]
+    return p, pr, draw(st.permutations(batch)), groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(trivial_word_batches())
+def test_skipping_trivial_words_changes_no_verdict(case):
+    """verdicts with the skip equals the same batch swept in full (britton
+    patched to call no word trivial): verdicts, witnesses, homs_tested and
+    max_order."""
+    p, pr, words, groups = case
+    budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=6)
+    got = QuotientOracle(pr, p, budget, groups).verdicts(words)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("rosegbs.quotients.britton", lambda pres, w: generator(0))
+        swept = QuotientOracle(pr, p, budget, groups).verdicts(words)
+    assert got == swept
+
+
+def test_words_trivial_in_g_are_not_evaluated(monkeypatch):
+    """Under t a t^-1 = a^3, the relator and t^-2 a^9 t^2 a^-1 are 1 in G and
+    reach no target; they get the survivors' verdict, all homs tested, or 0
+    and 0 with no targets.  [a, t] is not 1 in G and is evaluated."""
+    pr = pres((1, 3))
+    words = [parse_word(text, pr) for text in
+             ("t1 a t1^-1 a^-3", "t1^-2 a^9 t1^2 a^-1", "a t1 a^-1 t1^-1", "1")]
+    evaluated = set()
+    for kind in (CatalogHoms, HolomorphQuotient):
+        def recording(self, ws, separate=kind.separate):
+            evaluated.update(ws)
+            return separate(self, ws)
+        monkeypatch.setattr(kind, "separate", recording)
+    oracle = QuotientOracle(pr, 2, Budget(max_order=16, s_max=6))
+    got = oracle.verdicts(words)
+    assert evaluated == {words[2]}
+    survived = (oracle.total_homs, max(t.order for t in oracle.targets))
+    assert [(v.separated, v.homs_tested, v.max_order) for v in got] == [
+        (False, *survived), (False, *survived), (True, got[2].homs_tested, 8),
+        (False, *survived),
+    ]
+    bare = QuotientOracle(pr, 2, Budget(max_order=0, s_max=0))
+    assert bare.verdicts(words[:1]) == [Verdict(words[0], False, 0, 0)]
 
 
 @pytest.mark.parametrize("block", [1, 200, 2000])
