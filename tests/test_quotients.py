@@ -573,11 +573,10 @@ def trivial_word_batches(draw):
     is) and the empty word, and a nest t_i^e a^k t_i^-e (never 1 in G,
     pinched or not)."""
     p, pr, w, groups = draw(oracle_cases())
+    stable = st.integers(1, pr.r)
     conjugators = st.lists(
         st.tuples(st.integers(0, pr.r), st.integers(-3, 3)), max_size=4
     ).map(reduce)
-
-    stable = st.integers(1, pr.r)
 
     def relator_conjugate():
         i = draw(stable)
