@@ -254,13 +254,25 @@ class PcGroup:
     def _build_powers(self) -> np.ndarray:
         """Row k maps each x to x^k = x^(k-1) x for k below E, the least divisor
         of the order with every x^E = 1 (the exponent), else the order: row E
-        would repeat row 0, so x^e is row e mod E on any table."""
+        would repeat row 0, so x^e is row e mod E on any table.
+
+        Each row is one flat take of the table, in place.  The rows stay a
+        left fold, not doubled as x^(2k) = x^k x^k: the table is not yet
+        proved associative here, and on a table that is not, the two differ
+        (a corrupted C2 already does).  A cyclic group of order 2^11 takes
+        2,047 rows: 20 ms against 31 ms by 2-D fancy indexing (2-core Xeon
+        VM, numpy 2.4; doubling took 10 ms)."""
         n = self.order
-        elems = np.arange(n)
+        flat, elems = self.table.ravel(), np.arange(n, dtype=np.int32)
         pw = np.zeros((n, n), dtype=np.int32)  # rows past E are never written
         for k in range(1, n):
-            pw[k] = self.table[pw[k - 1], elems]
-            if n % k == 0 and not pw[k].any():
+            # pw[k] = table[pw[k - 1], elems]; mode="clip" (every index is in
+            # range) lets take write to its own index array unbuffered
+            row = pw[k]
+            np.multiply(pw[k - 1], n, out=row)
+            row += elems
+            flat.take(row, out=row, mode="clip")
+            if n % k == 0 and not row.any():
                 return pw[:k].copy()
         return pw
 

@@ -22,10 +22,13 @@ Every target offers order, homs (how many homomorphisms it tests) and
 separate(words) -> one witness dict or None per word, so
 QuotientOracle.verdicts is one pass over the targets.
 
-Every catalog target is a CatalogHoms: the columns of imgs hold representative
-homomorphisms in lexicographic order, separate evaluates the words on all of
-them at once (evaluate_words) and reports, per word, the first that does not
-kill it, and homs counts every homomorphism, represented or not.
+Every catalog target is a CatalogHoms, which keeps the loop tables (for an
+abelian P only the set A below) and homs, the count of every homomorphism.
+separate evaluates a batch of words on a set of homomorphisms, the columns
+of an imgs array in lexicographic order, all at once (evaluate_words), and
+each word reports the first that does not kill it.  A batch whose every
+word is a power of a is evaluated on one homomorphism per a-image (see
+"Powers of a" below), any other batch on representatives of all of them.
 
 * Abelian P: the axis homs.  In an abelian P the loop reads
   a^(n_i) = a^(m_i) and puts no condition on t_i, so Hom(G, P) = A x P^r
@@ -72,6 +75,29 @@ kill it, and homs counts every homomorphism, represented or not.
   are least under S_i gives exactly the orbit-least homomorphisms, and
   extending a lexicographically ordered frontier by increasing x_i keeps
   them in lexicographic order.
+
+Powers of a.  Under a hom phi, w = a^k maps to phi(a)^k, which depends on
+x = phi(a) alone.  The homs with phi(a) = x are {x} x T_1(x) x .. x T_r(x),
+so there are some exactly when x lies in A_P = {x : T_i(x) is not empty for
+every i}, and in lexicographic order they come in blocks of increasing x.
+So the first separating hom phi is (x*, min T_1(x*), .., min T_r(x*)),
+where x* is the least x in A_P with x^k != 1, and there is none when no
+such x exists.  phi is least in its orbit under every subgroup A of
+Aut(P): for alpha in A, alpha o phi is a hom with a-image alpha(x*) in A_P
+and alpha(x*)^k = alpha(x*^k) != 1, so alpha(x*) >= x* by the choice of
+x*; and if alpha(x*) = x*, alpha maps each T_i(x*) onto itself (it fixes x*
+and maps homs to homs), so alpha(min T_i(x*)) >= min T_i(x*) for every i
+and alpha o phi >= phi.  So phi is the first separating orbit
+representative, the hom the representatives give, whether A is all of
+Aut(P) or {id}.  On an abelian P, where T_i(x) = P for x in A_P = A, phi is
+the axis hom a = x* with every t_i = 1, the first separating axis hom by
+the argument above.  So CatalogHoms.power_homs, the least hom
+(x, min T_1(x), .., min T_r(x)) for every x in A_P in increasing order of
+x, gives a batch of powers of a the target, homs_tested, max_order and
+witness the representatives give, and no representative is built: no
+orbit walk, no axis homs.  A word counts as a power of a after the
+reductions below (on an abelian P after abelianising), so words such as
+t^E a^k take this path too.
 
 On either kind, each word is evaluated reduced modulo the exponent E of P
 (Word.reduced_mod, PcGroup.exponent): every exponent is taken mod E, zero
@@ -220,8 +246,11 @@ def evaluate_words(
     One word is evaluated by PcGroup.evaluate directly, since packing costs
     more than it saves there: one 4-letter word over D8's 13 representatives
     took 16.3 us packed against 10.4 us by PcGroup.evaluate (2-core Xeon VM,
-    numpy 2.4), and a pass of the stream benchmark makes 2,194 single-word
-    calls.
+    numpy 2.4), and the fold never holds more than one letter's images.
+    Single words come mostly from targets with too many representatives for
+    two words in one _EVAL_BLOCK chunk: the r = 3, order-125 verify of
+    <a,t1,t2,t3 | t_i a^5 t_i^-1 = a^5> makes 20 such calls, a battery
+    benchmark pass 3 and a stream pass none.
     """
     if len(words) == 1 and words[0].letters:
         return group.evaluate(words[0].letters, imgs)[None]
@@ -272,19 +301,57 @@ _EVAL_BLOCK = 2**13
 
 @dataclass(frozen=True)
 class CatalogHoms:
-    """Representatives of Hom(G, P) for a catalog group P, in lexicographic
-    order, which separate() evaluates: the axis homs for an abelian P, the
-    Aut(P)-orbit representatives otherwise (see the module docstring); homs
-    counts every hom.  Column i of imgs is representative i: its images of
-    a, t_1, .., t_r."""
+    """Hom(G, P) for a catalog group P, which separate() tests (see the module
+    docstring); homs counts every hom.
+
+    tables holds the loop tables T_1, .., T_r of a non-abelian P and is empty
+    for an abelian P, where every T_i(x) is P or empty; a_codes is then
+    A = {x : x^(n_i) = x^(m_i) for all i}, in increasing order.  imgs holds
+    the representatives when the constructor walked them (see QuotientOracle)
+    and is None otherwise: representatives() builds them on each call."""
 
     group: PcGroup
-    imgs: np.ndarray
+    r: int
     homs: int
+    tables: tuple[np.ndarray, ...] = ()
+    a_codes: Optional[np.ndarray] = None
+    imgs: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
         return self.group.order
+
+    def representatives(self) -> np.ndarray:
+        """The representatives in lexicographic order, column i holding
+        representative i's images of a, t_1, .., t_r: the axis homs for an
+        abelian P, the Aut(P)-orbit representatives otherwise."""
+        if self.imgs is not None:
+            return self.imgs
+        if self.tables:
+            return orbit_homs(self.group, self.tables)
+        n, r, a_codes = self.order, self.r, self.a_codes
+        imgs = np.zeros((r + 1, r * (n - 1) + len(a_codes)), dtype=np.int32)
+        for j in range(1, r + 1):  # the t_r block first, t_1 last
+            lo = 1 + (r - j) * (n - 1)
+            imgs[j, lo:lo + n - 1] = np.arange(1, n)
+        imgs[0, 1 + r * (n - 1):] = a_codes[1:]
+        return imgs
+
+    def power_homs(self) -> np.ndarray:
+        """The least hom with a-image x for every x in A_P, in increasing
+        order, as columns like representatives(): (x, min T_1(x), ..,
+        min T_r(x)), with every t_i = 1 on an abelian P.  On powers of a the
+        first separating hom is one of them (see the module docstring)."""
+        if not self.tables:
+            imgs = np.zeros((self.r + 1, len(self.a_codes)), dtype=np.int32)
+            imgs[0] = self.a_codes
+            return imgs
+        ok = np.logical_and.reduce([table.any(axis=1) for table in self.tables])
+        a_codes = np.flatnonzero(ok)  # A_P, starting at the identity 0
+        return np.array(
+            [a_codes, *(table[a_codes].argmax(axis=1) for table in self.tables)],
+            dtype=np.int32,
+        )
 
     def separate(self, words: Sequence[Word]) -> list[Optional[dict]]:
         """Per word, the witness for the first hom (in lexicographic order)
@@ -292,47 +359,58 @@ class CatalogHoms:
         abelianised on an abelian P and reduced mod the exponent (see the
         module docstring).
 
-        The words go to evaluate_words together, in chunks of whole words
-        whose letters times the representatives stay within _EVAL_BLOCK
-        letter images; a word too long for that is a chunk of its own.  So
-        on a target with many representatives, where per-call costs do not
-        count, each word is evaluated alone."""
+        A batch whose every such word is a power of a is evaluated on
+        power_homs(), any other batch on representatives(); either is built
+        for this batch only.  The words go to evaluate_words together, in
+        chunks of whole words whose letters times the homs stay within
+        _EVAL_BLOCK letter images; a word too long for that is a chunk of its
+        own.  So on a target with many representatives, where per-call costs
+        do not count, each word is evaluated alone."""
         g, e = self.group, self.group.exponent
         out: list[Optional[dict]] = [None] * len(words)
-        chunk, letters = [], 0
+        live = []
         for k, w in enumerate(words):
             w = (w.abelianised if g.is_abelian else w).reduced_mod(e)
-            if not w.letters:
-                continue
+            if w.letters:
+                live.append((k, w))
+        if not live:
+            return out
+        if all(w.max_gen() == 0 for _, w in live):
+            imgs = self.power_homs()
+        else:
+            imgs = self.representatives()
+        chunk, letters = [], 0
+        for k, w in live:
             letters += len(w.letters)
-            if chunk and letters * self.imgs.shape[1] > _EVAL_BLOCK:
-                self._first_hits(chunk, out)
+            if chunk and letters * imgs.shape[1] > _EVAL_BLOCK:
+                self._first_hits(chunk, imgs, out)
                 chunk, letters = [], len(w.letters)
             chunk.append((k, w))
-        if chunk:
-            self._first_hits(chunk, out)
+        self._first_hits(chunk, imgs, out)
         return out
 
-    def _first_hits(self, chunk: list[tuple[int, Word]], out: list) -> None:
-        """Set out[k] to the witness of each (k, word) of chunk that some
-        representative does not kill."""
-        images = evaluate_words([w for _, w in chunk], self.group, self.imgs)
+    def _first_hits(self, chunk: list[tuple[int, Word]], imgs: np.ndarray,
+                    out: list) -> None:
+        """Set out[k] to the witness of each (k, word) of chunk that some hom,
+        a column of imgs, does not kill."""
+        images = evaluate_words([w for _, w in chunk], self.group, imgs)
         if not np.count_nonzero(images):
             return
         first = (images != 0).argmax(axis=1)
         hits = images[np.arange(len(chunk)), first].tolist()
         for (k, _), i, image in zip(chunk, first.tolist(), hits):
             if image:
-                out[k] = self._witness(i, image)
+                out[k] = self._witness(imgs[:, i].tolist(), image)
 
-    def _witness(self, i: int, image: int) -> dict:
+    def _witness(self, hom: Sequence[int], image: int) -> dict:
+        """The witness of the hom with images hom = (a, t_1, .., t_r) codes."""
         g = self.group
         return {
             "kind": "catalog",
             "target": g.name,
             "order": g.order,
-            "image_a": g.element_str(int(self.imgs[0, i])),
-            "image_t": [g.element_str(int(t)) for t in self.imgs[1:, i]],
+            "image_a": g.element_str(hom[0]),
+            "image_t": [g.element_str(t) for t in hom[1:]],
             "word_image": g.element_str(image),
         }
 
@@ -341,9 +419,10 @@ class CatalogHoms:
 _BLOCK = 2**20
 
 
-def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
-    """The Aut(P)-orbit representatives of Hom(G, P), in lexicographic order,
-    or None when they would take more than MAX_ASSIGNMENTS codes (r + 1 per
+def orbit_homs(group: PcGroup, tables: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The Aut(P)-orbit representatives of Hom(G, P) for the loop tables
+    T_1, .., T_r of G, as CatalogHoms.imgs, in lexicographic order, or None
+    when they would take more than MAX_ASSIGNMENTS codes (r + 1 per
     representative).
 
     The coordinates x_0 = a, x_k = t_k are added in turn.  Each prefix
@@ -351,12 +430,12 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
     stabiliser S_k in group.stabiliser_chain, and grows by every x in
     T_k(x_0) (any x for k = 0) that is least in its S_k-orbit, in increasing
     order.  Prefixes are extended in blocks, and the budget is checked on
-    each block before the level is built.
+    each block before the level is built.  Level k holds at most
+    order^(k+1) prefixes, so with order^(r+1) (r + 1) <= MAX_ASSIGNMENTS the
+    walk never returns None.
     """
-    n, r = group.order, pres.r
+    n, r = group.order, len(tables)
     chain = group.stabiliser_chain
-    tables = loop_tables(pres, group)
-    homs = sum(math.prod(c) for c in zip(*(ok.sum(axis=1).tolist() for ok in tables)))
     step = max(1, _BLOCK // n)
     prefix: list[np.ndarray] = []
     stab = np.zeros(1, dtype=np.int32)
@@ -377,13 +456,13 @@ def orbit_homs(pres: RoseGbs, group: PcGroup) -> Optional[CatalogHoms]:
             break
         prefix = [c[row] for c in prefix] + [np.concatenate(xs)]
         stab = chain.stabilisers(stab[row], prefix[-1])
-    # the last level is written straight into the target's image rows;
-    # mode="clip" (every row is in range) lets take write to out unbuffered
+    # the last level is written straight into the image rows; mode="clip"
+    # (every row is in range) lets take write to out unbuffered
     imgs = np.empty((r + 1, len(row)), dtype=np.int32)
     for c, out in zip(prefix, imgs):
         np.take(c, row, out=out, mode="clip")
     np.concatenate(xs, out=imgs[r])
-    return CatalogHoms(group, imgs, homs)
+    return imgs
 
 
 # --- holomorph quotients ------------------------------------------------------
@@ -537,10 +616,21 @@ class QuotientOracle:
 
     targets lists them in scan order, all built here, once: one CatalogHoms
     per catalog group within the budget, in file order, then one
-    HolomorphQuotient per s.  A non-abelian catalog group whose orbit
-    representatives would take more than MAX_ASSIGNMENTS codes is left out
-    and named in skipped_groups; an abelian one never is, as it has only
-    r (|P| - 1) + |A| axis homs.
+    HolomorphQuotient per s.  A CatalogHoms is built with its loop tables
+    and homs (for an abelian P, A and homs); its representatives, the orbit
+    walk or the axis homs, are left to separate(), which builds them only for
+    a batch holding a word with a stable letter, and builds them again for
+    every such batch: verify sends each target one batch.  An oracle is not
+    changed after this constructor.
+
+    A non-abelian catalog group whose orbit representatives would take more
+    than MAX_ASSIGNMENTS codes is left out and named in skipped_groups; an
+    abelian one never is, as it has only r (|P| - 1) + |A| axis homs.  Level
+    k of the walk holds at most order^(k+1) prefixes, so a group with
+    order^(r+1) (r + 1) <= MAX_ASSIGNMENTS is never over the budget, and
+    every other non-abelian group is walked here, to know whether it is: its
+    representatives are kept in its target's imgs.  So skipped_groups, and
+    every report, is the same as if every target were walked here.
 
     Holomorphs are built for s = 1, 2, .. and the first unavailable s ends
     the list, since then every larger s is unavailable too.  "not-applicable"
@@ -591,22 +681,24 @@ class QuotientOracle:
         ] + self.holomorphs
 
     def homs_for(self, group: PcGroup) -> Optional[CatalogHoms]:
-        """The target of one catalog group: its axis homs when it is abelian,
-        else its orbit representatives, None over the budget (see the module
-        docstring)."""
-        if not group.is_abelian:
-            return orbit_homs(self.pres, group)
+        """The target of one catalog group, None when its orbit representatives
+        would exceed the budget: an abelian P keeps A, a non-abelian P its loop
+        tables, and a non-abelian P whose walk could exceed the budget is
+        walked here (see the class docstring)."""
         n, r = group.order, self.pres.r
-        ok = np.ones(n, dtype=bool)
-        for loop in self.pres.loops:
-            ok &= group.powers(loop.n) == group.powers(loop.m)
-        a_codes = np.flatnonzero(ok)  # A, starting at the identity 0
-        imgs = np.zeros((r + 1, r * (n - 1) + len(a_codes)), dtype=np.int32)
-        for j in range(1, r + 1):  # the t_r block first, t_1 last
-            lo = 1 + (r - j) * (n - 1)
-            imgs[j, lo:lo + n - 1] = np.arange(1, n)
-        imgs[0, 1 + r * (n - 1):] = a_codes[1:]
-        return CatalogHoms(group, imgs, len(a_codes) * n**r)
+        if group.is_abelian:
+            ok = np.ones(n, dtype=bool)
+            for loop in self.pres.loops:
+                ok &= group.powers(loop.n) == group.powers(loop.m)
+            a_codes = np.flatnonzero(ok)  # A, starting at the identity 0
+            return CatalogHoms(group, r, len(a_codes) * n**r, a_codes=a_codes)
+        tables = tuple(loop_tables(self.pres, group))
+        counts = zip(*(ok.sum(axis=1).tolist() for ok in tables))
+        homs = sum(math.prod(c) for c in counts)
+        if n ** (r + 1) * (r + 1) <= MAX_ASSIGNMENTS:
+            return CatalogHoms(group, r, homs, tables)
+        imgs = orbit_homs(group, tables)
+        return None if imgs is None else CatalogHoms(group, r, homs, tables, imgs=imgs)
 
     @property
     def total_homs(self) -> int:

@@ -22,7 +22,7 @@ from rosegbs.pcgroup import (
     random_confluence_check,
 )
 from rosegbs.presentation import RoseGbs
-from rosegbs.quotients import hom_arrays, orbit_homs
+from rosegbs.quotients import Budget, QuotientOracle, hom_arrays
 
 
 def by_name(p):
@@ -679,6 +679,34 @@ def test_power_map_is_exponent_sized():
     assert e2048._powers.nbytes <= 16 * 1024
 
 
+def ref_build_powers(g):
+    """Power rows x^k = x^(k-1) x, one 2-D fancy-index gather per row, up to
+    the exponent: the build PcGroup._build_powers replaced."""
+    n = g.order
+    elems = np.arange(n)
+    pw = np.zeros((n, n), dtype=np.int32)
+    for k in range(1, n):
+        pw[k] = g.table[pw[k - 1], elems]
+        if n % k == 0 and not pw[k].any():
+            return pw[:k]
+    return pw
+
+
+def test_power_rows_match_row_by_row_build():
+    """On every shipped group and on the three order-2^11 groups of the CI
+    catalog step (C2048 needs 2,047 rows), the rows equal the row-by-row
+    build's, exponent-sized."""
+    cyclic = PcPresentation("C2048", 2, 11, {i: ((i + 1, 1),) for i in range(1, 11)})
+    extraspecial = PcPresentation(
+        "2^1+10", 2, 11, comm_words={(i + 5, i): ((11, 1),) for i in range(1, 6)}
+    )
+    big = [PcGroup(pres) for pres in
+           (cyclic, PcPresentation("E2048", 2, 11), extraspecial)]
+    assert [g.exponent for g in big] == [2048, 2, 4]
+    for g in all_groups() + big:
+        assert np.array_equal(g._powers, ref_build_powers(g)), g.name
+
+
 def test_max_order_groups_load():
     elementary = PcPresentation("E2048", 2, 11)
     # extraspecial 2^(1+10): [y_i, x_i] = z for x_i = g_i, y_i = g_(i+5), z = g11
@@ -853,9 +881,10 @@ def test_automorphisms_identity_only_over_the_cap(monkeypatch):
     # with A = {id} every orbit is a single hom, so every hom is walked
     for loops in ([(3, 1)], [(2, 12), (1, 1)], [(16, 16)] * 3):
         pres = RoseGbs.from_pairs(loops)
-        target = orbit_homs(pres, d8)
+        target = QuotientOracle(pres, 2, Budget(max_order=8, s_max=0), [d8]).homs_for(d8)
+        imgs = target.representatives()
         a_img, t_imgs = hom_arrays(pres, d8)
-        assert np.array_equal(target.imgs, np.stack([a_img, *t_imgs]))
+        assert np.array_equal(imgs, np.stack([a_img, *t_imgs]))
         assert target.homs == len(a_img)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -27,6 +28,7 @@ from rosegbs.quotients import (
     evaluate_words,
     hom_arrays,
     holomorph_quotient,
+    loop_tables,
     orbit_homs,
     verify_theorem,
 )
@@ -45,6 +47,12 @@ def cancel_sums(w):
 
 def by_name(p):
     return {g.name: g for g in builtin_catalog(p)}
+
+
+def catalog_target(pr, g):
+    """g's CatalogHoms under pr as a QuotientOracle builds it, or None when
+    its orbit representatives exceed the budget."""
+    return QuotientOracle(pr, g.p, Budget(max_order=g.order, s_max=0), [g]).homs_for(g)
 
 
 # --- scalar references --------------------------------------------------------------
@@ -257,7 +265,8 @@ def test_targets_match_scalar_reference(case):
                 want = ref_axis_homs(homs)
             else:
                 want = ref_orbit_least(g, homs)
-            assert as_homs(target.imgs[0], target.imgs[1:]) == want
+            imgs = target.representatives()
+            assert as_homs(imgs[0], imgs[1:]) == want
             first = next(
                 (
                     (a, ts, image)
@@ -431,7 +440,9 @@ def mod_e_groups():
 
 @functools.cache
 def representatives(pr, g):
-    return orbit_homs(pr, g)
+    """g's target under pr with its representatives walked once, or None."""
+    target = catalog_target(pr, g)
+    return target and dataclasses.replace(target, imgs=target.representatives())
 
 
 mod_e_exponents = st.one_of(
@@ -652,7 +663,7 @@ def test_eval_blocks_do_not_matter(monkeypatch, block):
     oracle = QuotientOracle(pr, 3, budget)
     whole = [t.separate(words) for t in oracle.targets]
     verdicts = oracle.verdicts(words)
-    assert [t.imgs.shape[1] for t in oracle.targets][-2:] == [1042, 5283]
+    assert [t.representatives().shape[1] for t in oracle.targets][-2:] == [1042, 5283]
     assert len({str(w) for ws in whole for w in ws}) > 5  # varied witnesses
     calls = []
 
@@ -760,6 +771,108 @@ def test_verdict_per_oracle_budget():
     assert big.verdict(w).separated and big.verdict(w).homs_tested > 0
 
 
+# --- powers of a: one hom per a-image ---------------------------------------------
+
+
+def no_representatives(*args):
+    raise AssertionError("representatives built for a batch of powers of a")
+
+
+@st.composite
+def power_batches(draw):
+    """A presentation at p = 2 or 3 with up to 3 loops, most with n != m, so
+    that some T_j(x) is empty and A_P is not all of P, and a batch of powers
+    a^k (a^0 = the empty word): small k, multiples of VANISHING (a multiple
+    of every target's exponent) give or take 2, and |k| >= 10^30."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 3))
+    exponent = st.integers(-12, 12).filter(bool)
+    loops = [(draw(exponent), draw(exponent)) for _ in range(r)]
+    big = st.integers(10**30, 10**31)
+    ks = st.one_of(
+        st.integers(-40, 40),
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+            lambda t: t[0] * VANISHING + t[1]),
+        big, big.map(lambda k: -k),
+    )
+    words = [generator(0, k) if k else Word()
+             for k in draw(st.lists(ks, min_size=1, max_size=6))]
+    return p, pres(*loops), words
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_batches())
+def test_powers_of_a_match_representatives_and_full_sweep(case):
+    """On every catalog target, a batch of powers of a (decided without any
+    representative) gets the witnesses of the first hit over the
+    representatives and over every hom_arrays row; and each verdict, with its
+    homs_tested and max_order, is the full sweep's."""
+    p, pr, words = case
+    budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=2)
+    oracle = QuotientOracle(pr, p, budget)
+    catalog = [t for t in oracle.targets if isinstance(t, CatalogHoms)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CatalogHoms, "representatives", no_representatives)
+        got = [t.separate(words) for t in catalog]
+        verdicts = oracle.verdicts(words)
+    for target, witnesses in zip(catalog, got):
+        g = target.group
+        a_img, t_imgs = hom_arrays(pr, g)
+        imgs = target.representatives()
+        for w, witness in zip(words, witnesses):
+            full = evaluate_word_bulk(w, g, a_img, t_imgs)
+            reps = evaluate_word_bulk(w, g, imgs[0], imgs[1:])
+            assert witness == first_hit_witness(g, a_img, t_imgs, full)
+            assert witness == first_hit_witness(g, imgs[0], imgs[1:], reps)
+    for w, v in zip(words, verdicts):
+        assert v == full_sweep_verdict(oracle, w)
+
+
+def test_powers_of_a_examples():
+    """Under t a t^-1 = a^3, D8's first hom that does not kill a^2 sends a to
+    a rotation r of order 4 and t to a reflection (t r t^-1 = r^-1), not to
+    1.  Under t a t^-1 = a^2 only a = 1 has a t-image in D8 (A_P = {1},
+    though every x != 1 has x^1 != 1), so no power of a is separated there."""
+    d8 = by_name(2)["D8"]
+    a, a2 = generator(0), generator(0, 2)
+    target = catalog_target(pres((1, 3)), d8)
+    (witness,) = target.separate([a2])
+    a_img, t_imgs = hom_arrays(pres((1, 3)), d8)
+    assert witness == first_hit_witness(
+        d8, a_img, t_imgs, evaluate_word_bulk(a2, d8, a_img, t_imgs))
+    assert witness["image_t"] != ["1"] and witness["word_image"] != "1"
+    target = catalog_target(pres((1, 2)), d8)
+    assert len(hom_arrays(pres((1, 2)), d8)[0]) == target.homs == d8.order
+    assert target.separate([a, generator(0, 3), generator(0, 10**30 + 1)]) == [None] * 3
+
+
+@pytest.mark.parametrize("pairs, p", [([(2, 12)], 2), ([(3, 6)], 3), ([(2, 12), (4, 6)], 2)])
+def test_case1_verify_builds_no_representatives(monkeypatch, pairs, p):
+    """A case-1 verify checks powers of a only (containment, separation and
+    the r = 1 Moldavanskii words), so no target walks its orbits or lists
+    its axis homs."""
+    monkeypatch.setattr("rosegbs.quotients.orbit_homs", no_representatives)
+    monkeypatch.setattr(CatalogHoms, "representatives", no_representatives)
+    rep = verify_theorem(pres(*pairs), p)
+    assert rep.classification.case == Case.ONE and rep.status == "ok"
+    assert all(c.word.max_gen() == 0 for c in rep.checks)
+
+
+def test_case2_verify_walks_each_target_at_most_once(monkeypatch):
+    """Verify sends each target one batch, so a target that a word with a
+    stable letter reaches walks its orbits once."""
+    walked = []
+
+    def recording(group, tables, walk=orbit_homs):
+        walked.append(group.name)
+        return walk(group, tables)
+
+    monkeypatch.setattr("rosegbs.quotients.orbit_homs", recording)
+    rep = verify_theorem(pres((3, 1), (5, 1)), 2, Bounds(k_max=1, comm_word_len=4))
+    assert rep.classification.case == Case.TWO
+    assert len(walked) >= 5 and len(set(walked)) == len(walked)
+
+
 # --- orbit representatives ------------------------------------------------------
 
 
@@ -767,13 +880,14 @@ def test_orbit_homs_match_brute_force():
     # under t a^16 t^-1 = a^16 every pair is a hom into a group of exponent 4
     for name in ("D8", "Q8"):
         g = by_name(2)[name]
-        target = orbit_homs(pres((16, 16)), g)
+        target = catalog_target(pres((16, 16)), g)
         assert target.homs == g.order**2
         least = [
             (x, (y,)) for x, y in itertools.product(range(g.order), repeat=2)
             if (x, y) == min((int(a[x]), int(a[y])) for a in g.automorphisms)
         ]
-        assert as_homs(target.imgs[0], target.imgs[1:]) == least
+        imgs = target.representatives()
+        assert as_homs(imgs[0], imgs[1:]) == least
 
 
 def burnside_orbits(g, k):
@@ -793,10 +907,11 @@ def test_orbit_homs_count_burnside():
             if g.is_abelian:
                 continue
             for r in (2, 3):
-                target = orbit_homs(pres(*[(p**4, p**4)] * r), g)
+                target = catalog_target(pres(*[(p**4, p**4)] * r), g)
                 assert target.homs == g.order ** (r + 1)
-                assert target.imgs.shape[1] == burnside_orbits(g, r + 1), (g.name, r)
-                counts[g.name, r] = target.imgs.shape[1]
+                count = target.representatives().shape[1]
+                assert count == burnside_orbits(g, r + 1), (g.name, r)
+                counts[g.name, r] = count
     assert counts["He5", 2] == 404 and counts["He5", 3] == 25_299
     assert counts["M125", 2] == 5_395 and counts["M125", 3] == 523_225
 
@@ -804,24 +919,54 @@ def test_orbit_homs_count_burnside():
 def test_orbit_homs_blocks_do_not_matter(monkeypatch):
     g = by_name(3)["He3"]
     pr = pres((3, 3), (2, 5), (9, 9))
-    whole = orbit_homs(pr, g)
+    tables = loop_tables(pr, g)
+    whole = orbit_homs(g, tables)
     monkeypatch.setattr("rosegbs.quotients._BLOCK", 2 * g.order)  # 2 rows a block
-    blocks = orbit_homs(pr, g)
-    assert whole.homs == blocks.homs and whole.imgs.shape[1] > 100
-    assert np.array_equal(whole.imgs, blocks.imgs)
+    blocks = orbit_homs(g, tables)
+    assert whole.shape[1] > 100
+    assert np.array_equal(whole, blocks)
 
 
 def test_orbit_homs_over_the_budget(monkeypatch):
     g = by_name(2)["D8"]
-    codes = 2 * orbit_homs(pres((16, 16)), g).imgs.shape[1]
+    tables = loop_tables(pres((16, 16)), g)
+    codes = 2 * orbit_homs(g, tables).shape[1]
     monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes)
-    assert orbit_homs(pres((16, 16)), g) is not None
+    assert orbit_homs(g, tables) is not None
     monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes - 1)
-    assert orbit_homs(pres((16, 16)), g) is None
+    assert orbit_homs(g, tables) is None
     oracle = QuotientOracle(pres((16, 16)), 2, Budget(max_order=8, s_max=0))
     assert oracle.skipped_groups == ["D8"]
     assert [t.group.name for t in oracle.targets] == ["C2", "C4", "C2x2", "C8",
                                                        "C4xC2", "C2x3", "Q8"]
+
+
+ORDER_16 = ["C2", "C4", "C2x2", "C8", "C4xC2", "C2x3", "D8", "Q8", "C16", "C4xC4",
+            "C8xC2", "C4xC2x2", "C2x4", "D16", "SD16", "Q16", "M16", "D8xC2",
+            "Q8xC2", "C4:C4", "V4:C4", "D8*C4"]
+
+
+@pytest.mark.parametrize("codes, skipped", [
+    (30, ["D8", "D16", "SD16", "Q16", "M16", "D8xC2", "Q8xC2", "C4:C4", "V4:C4",
+          "D8*C4"]),
+    (100, []),
+])
+def test_budget_walks_in_the_constructor(monkeypatch, codes, skipped):
+    """With MAX_ASSIGNMENTS below order^2 * 2 for every non-abelian group of
+    order 8 and 16, the constructor walks them all to find the ones over the
+    budget, and the report is the one walking every target gave: at 30 codes
+    the groups below are skipped (Q8 has few enough representatives), at 100
+    none is."""
+    monkeypatch.setattr("rosegbs.quotients.MAX_ASSIGNMENTS", codes)
+    rep = verify_theorem(pres((16, 16)), 2, Bounds(k_max=1), Budget(max_order=16, s_max=0))
+    assert rep.catalog_names == tuple(g for g in ORDER_16 if g not in skipped)
+    reason = (f"catalog groups {', '.join(skipped)} skipped: their orbit"
+              f" representatives exceed {codes} codes; lower --budget.max-order")
+    assert rep.inconclusive == ((reason,) if skipped else ())
+    oracle = QuotientOracle(pres((16, 16)), 2, Budget(max_order=16, s_max=0))
+    walked = [t.group.name for t in oracle.targets if t.imgs is not None]
+    assert walked == [g.name for g in oracle.groups
+                      if not g.is_abelian and g.name not in skipped]
 
 
 # --- holomorph quotients ----------------------------------------------------------
