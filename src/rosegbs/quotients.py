@@ -375,8 +375,8 @@ class CatalogHoms:
                 live.append((k, w))
         if not live:
             return out
-        if all(w.max_gen() == 0 for _, w in live):
-            imgs = self.power_homs()
+        if all(len(w.letters) == 1 and not w.letters[0][0] for _, w in live):
+            imgs = self.power_homs()  # every word is a power of a
         else:
             imgs = self.representatives()
         chunk, letters = [], 0
