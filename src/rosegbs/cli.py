@@ -14,7 +14,9 @@ produce byte-identical output; JSON reports follow data/report.schema.json.
 Exit codes: 0 success (verify: all checks pass), 1 verify found a
 theorem-violation (or catalog validation failed), 2 invalid input,
 3 verify was inconclusive only, 4 internal error (any other exception, such
-as MemoryError; the traceback goes to stderr).
+as MemoryError; the traceback goes to stderr).  Library warnings (no
+shipped catalog for p, an empty catalog) go to stderr as one
+'warning: <message>' line each.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import traceback
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -435,6 +438,12 @@ def _fill_settings(args: argparse.Namespace, keys: Sequence[str]) -> None:
 _parser: Optional[argparse.ArgumentParser] = None  # built by the first main()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: one 'warning: <message>' line on
+    stderr, without the source location Python would print."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:
@@ -442,11 +451,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser.parse_args(argv)
     handler, keys = _COMMANDS[args.command]
     try:
-        _fill_settings(args, keys)
-        if "P" in keys:
-            require_prime(args.p)
-            args.pres = _load_presentation(args.presentation)
-        return handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            _fill_settings(args, keys)
+            if "P" in keys:
+                require_prime(args.p)
+                args.pres = _load_presentation(args.presentation)
+            return handler(args)
     except CatalogError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -49,14 +49,21 @@ cyclic one (E = 2^11).
 presentations (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 2005, ch. 8): random_confluence_check draws random words from a numpy
 Generator seeded by the seed and the group name, and evaluates every word
-twice, by a left fold and by a random bracketing, with table gathers over
-chunks of 2^16 words, so its memory does not grow with the count.  A word
-has 1..10 letters g_i^e, i uniform on 1..n and e uniform over the nonzero
-integers in [-2p, 2p]; the bracketing merges one adjacent pair at a time,
-chosen uniformly.  On a group that loaded, the two can never disagree: Light's
-test has proved the table associative, so every bracketing of a word gives
-the same product.  The check can only catch a table altered after loading,
-which is what its tests do.
+twice, by a left fold and by a random bracketing, over chunks of 2^16 words,
+so its memory does not grow with the count.  A word has 1..10 letters g_i^e,
+i uniform on 1..n and e uniform over the nonzero integers in [-2p, 2p]; the
+bracketing merges one adjacent pair at a time, chosen uniformly.  Each term
+is a flat gather of a per-group letter table and each product a flat gather
+of the multiplication table.  The bracketing leaves every term in its slot
+and marks the slots where live blocks start in a 10-bit mask per word, so a
+merge multiplies the same two operands, in the same order, as replacing the
+pair in a shrinking list of terms would.  So on any table, corrupted ones
+included, every word gets the values a word-at-a-time replay gives, and the
+first bad word and its CatalogError are the same.  On a group that loaded,
+the two values can never disagree: Light's test has proved the table
+associative, so every bracketing of a word gives the same product.  The
+check can only catch a table altered after loading, which is what its tests
+do.
 """
 
 from __future__ import annotations
@@ -584,8 +591,18 @@ def load_catalog(path: str) -> list[PcGroup]:
 #: Longest word drawn by random_confluence_check.
 _CONFLUENCE_MAX_LEN = 10
 
-#: Words drawn and checked at once by random_confluence_check, about 9 MB.
+#: Words drawn and checked at once by random_confluence_check: 8.3 MB
+#: traced at its peak, drawing and checking included (He5, at 2^17 and at
+#: 10^6 words alike).
 _CONFLUENCE_CHUNK = 2**16
+
+#: _LIVE_SLOTS[mask, j] is the j-th set bit of a mask of _CONFLUENCE_MAX_LEN
+#: bits, for j below its popcount (the clear bits follow): the slot where
+#: term j of a bracketing starts (_confluence_mismatches).
+_LIVE_SLOTS = np.argsort(
+    (np.arange(2**_CONFLUENCE_MAX_LEN)[:, None] >> np.arange(_CONFLUENCE_MAX_LEN) & 1) == 0,
+    axis=1, kind="stable",
+).astype(np.intp)
 
 
 def _confluence_draws(
@@ -619,40 +636,84 @@ def _confluence_draws(
         yield lengths, gens, exps, merges
 
 
+def _confluence_mismatches(table: np.ndarray, letters: np.ndarray, gens: np.ndarray,
+                           exps: np.ndarray, merges: np.ndarray) -> np.ndarray:
+    """Which words of a chunk of _confluence_draws get different values by
+    the left fold and by the bracketing, as a bool array.  letters[g, e + 2p]
+    is g^e, one row per generator g (g_0 = 1, for the padding) and one column
+    per exponent -2p <= e <= 2p.
+
+    Each column of terms is one flat gather of letters, and every product
+    one flat gather of the table.  The bracketing keeps each
+    word's terms in place: a block of merged terms holds its value at the
+    slot where it starts, and a 10-bit mask marks those slots.  Step s looks
+    up the starts a < b of terms merges[w, s] and merges[w, s] + 1 in
+    _LIVE_SLOTS, writes t[v[a], v[b]] to slot a and clears bit b.  Slot 0 is
+    never cleared, so it ends with the word's value.  Each merge multiplies
+    the same two operands, in the same order, as replacing the pair by its
+    product in a shrinking list of terms."""
+    order, width = len(table), letters.shape[1]
+    table, letters, slots = table.ravel(), letters.ravel(), _LIVE_SLOTS.ravel()
+    a, b = np.empty((2, len(gens)), dtype=np.intp)
+    # one column at a time: an index array for the whole chunk would be
+    # converted to intp by take, twice the chunk's memory
+    terms = np.empty(gens.shape, dtype=np.int32)
+    for k in range(_CONFLUENCE_MAX_LEN):
+        np.multiply(gens[:, k], width, out=a)
+        a += exps[:, k]
+        a += width // 2
+        terms[:, k] = letters.take(a)
+    # mode="clip" (every index is in range) lets take write to its own index
+    # array unbuffered
+    fold = terms[:, 0].copy()
+    for k in range(1, _CONFLUENCE_MAX_LEN):
+        fold *= order
+        fold += terms[:, k]
+        table.take(fold, out=fold, mode="clip")
+    values = terms.ravel()
+    live = np.full(len(terms), len(_LIVE_SLOTS) - 1, dtype=np.intp)
+    starts = np.arange(0, values.size, _CONFLUENCE_MAX_LEN, dtype=np.intp)
+    for step in range(_CONFLUENCE_MAX_LEN - 1):
+        # slots a, b of terms i, i + 1: entries j, j + 1 of _LIVE_SLOTS
+        np.multiply(live, _CONFLUENCE_MAX_LEN, out=a)
+        a += merges[:, step]
+        slots[1:].take(a, out=b, mode="clip")
+        slots.take(a, out=a, mode="clip")
+        live -= np.left_shift(1, b)
+        a += starts
+        b += starts
+        product = values.take(a)
+        product *= order
+        product += values.take(b)
+        values[a] = table.take(product)
+    return fold != terms[:, 0]
+
+
 def random_confluence_check(group: PcGroup, n_words: int, seed: int) -> int:
     """Normal-form uniqueness spot check: evaluate n_words random words (see
     _confluence_draws) both by a left fold and by a random association order;
     any mismatch would expose a non-confluent table.  The words of a chunk
     are evaluated together, one column of letters or one bracketing step at
-    a time, with table gathers, so memory does not grow with n_words.
+    a time, with flat gathers (_confluence_mismatches), so memory does not
+    grow with n_words.  Every product is the one a word-at-a-time replay
+    makes, so even on a corrupted table each word gets the same two values
+    and the first bad word is the same.
     Returns the number of words checked; the trivial group has only the empty
     word, so its check passes at once."""
     if n_words < 0:
         raise ValueError(f"negative word count {n_words}")
     if group.ngens == 0:
         return n_words
-    t, p = group.table, group.p
-    codes = np.array([0] + [group.generator_code(g) for g in range(1, group.ngens + 1)],
-                     dtype=np.int32)
-    pw = np.stack([group.powers(e) for e in range(-2 * p, 2 * p + 1)])  # x^e: row e+2p
+    p = group.p
+    codes = [0] + [group.generator_code(g) for g in range(1, group.ngens + 1)]
+    letters = np.stack([group.powers(e)[codes] for e in range(-2 * p, 2 * p + 1)], axis=1)
     for lengths, gens, exps, merges in _confluence_draws(group, n_words, seed):
-        terms = pw[exps + 2 * p, codes[gens]]
-        fold = terms[:, 0]
-        for k in range(1, _CONFLUENCE_MAX_LEN):
-            fold = t[fold, terms[:, k]]
-        rows = np.arange(len(lengths))
-        for step in range(_CONFLUENCE_MAX_LEN - 1):
-            i = merges[:, step]
-            merged = t[terms[rows, i], terms[rows, i + 1]]
-            cols = np.arange(terms.shape[1] - 1, dtype=np.int8)
-            terms = np.where(cols < i[:, None], terms[:, :-1], terms[:, 1:])
-            terms[rows, i] = merged
-        bad = np.flatnonzero(fold != terms[:, 0])
+        bad = np.flatnonzero(_confluence_mismatches(group.table, letters, gens, exps, merges))
         if bad.size:
             w = bad[0]
             n = lengths[w]
-            letters = [(int(g), int(e)) for g, e in zip(gens[w, :n], exps[w, :n])]
-            raise CatalogError(f"group {group.name}: normal form mismatch on {letters}")
+            word = [(int(g), int(e)) for g, e in zip(gens[w, :n], exps[w, :n])]
+            raise CatalogError(f"group {group.name}: normal form mismatch on {word}")
     return n_words
 
 
