@@ -477,3 +477,17 @@ def test_catalog_validate_missing_file(capsys):
     assert captured.err == (
         "error: [Errno 2] No such file or directory: '/nonexistent/cat.txt'\n"
     )
+
+
+def test_warnings_are_one_line_each(tmp_path):
+    """Library warnings reach stderr as 'warning: <message>' lines, with no
+    source location, so their bytes do not move with the source."""
+    code, out, err = run_process(
+        {}, "verify", "-p", "7", "<a,t1 | t1 a^1 t1^-1 = a^8>", "--format", "json")
+    assert code == 0 and json.loads(out)["catalog"] == ["C7"]
+    assert err == ("warning: no shipped catalog for p=7; using abelian groups"
+                   " of order <= 7^2 only\n")
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing here\n")
+    assert run_process({}, "catalog-validate", str(path)) == (
+        0, "empty catalog\nvalidated 0 groups\n", "warning: catalog is empty\n")

@@ -15,7 +15,9 @@ from rosegbs.pcgroup import (
     MAX_ORDER,
     PcGroup,
     PcPresentation,
+    _LIVE_SLOTS,
     _confluence_draws,
+    _confluence_mismatches,
     builtin_catalog,
     load_catalog_text,
     parse_catalog,
@@ -289,10 +291,10 @@ def test_confluence_draws_distribution():
     assert all(map(np.array_equal, again, (lengths, gens, exps, merges)))
 
 
-def first_mismatch_scalar(g, n_words, seed):
+def scalar_replay(g, n_words, seed):
     """Replay every drawn word one letter and one merge at a time: the left
-    fold by collect_code, the bracketing by mult.  The first word whose two
-    values differ, as a letter list, or None."""
+    fold by collect_code, the bracketing by mult.  Yields each word as a
+    letter list, with whether its two values differ."""
     lengths, gens, exps, merges = draws(g, n_words, seed)
     for w in range(n_words):
         n = lengths[w]
@@ -301,9 +303,12 @@ def first_mismatch_scalar(g, n_words, seed):
         for i in merges[w, : n - 1]:
             x = tree.pop(i)
             tree[i] = mult(g, x, tree[i])
-        if collect_code(g, letters) != tree[0]:
-            return letters
-    return None
+        yield letters, collect_code(g, letters) != tree[0]
+
+
+def first_mismatch_scalar(g, n_words, seed):
+    """The first word of scalar_replay whose two values differ, or None."""
+    return next((letters for letters, bad in scalar_replay(g, n_words, seed) if bad), None)
 
 
 def corrupted(g, rows, cols, values):
@@ -314,8 +319,8 @@ def corrupted(g, rows, cols, values):
     return bad
 
 
-@pytest.mark.parametrize("p, name", [(2, "C4"), (2, "D8"), (2, "Q8"),
-                                     (3, "He3"), (5, "He5")])
+@pytest.mark.parametrize("p, name", [(p, g.name) for p in (2, 3, 5)
+                                     for g in builtin_catalog(p) if g.order >= 4])
 def test_confluence_check_matches_scalar_replay(p, name):
     g = by_name(p)[name]
     rng = random.Random(name)
@@ -333,6 +338,81 @@ def test_confluence_check_matches_scalar_replay(p, name):
         outcomes.add(letters is None)
     if name in ("D8", "Q8"):  # some corruptions escape 30 words, some do not
         assert outcomes == {True, False}
+
+
+def test_confluence_check_corruption_met_only_by_a_merge():
+    """A table entry that some bracketing merge multiplies but no left fold
+    does (padding products included): the check must still fail, on the word
+    the scalar replay names."""
+    g = by_name(2)["D8"]
+    n_words, seed = 30, 5
+    lengths, gens, exps, merges = draws(g, n_words, seed)
+    fold_pairs, merge_pairs = set(), set()
+    for w in range(n_words):
+        terms = [int(g.powers(e)[g.generator_code(x)]) if x else 0
+                 for x, e in zip(gens[w], exps[w])]
+        acc = terms[0]
+        for y in terms[1:]:
+            fold_pairs.add((acc, y))
+            acc = mult(g, acc, y)
+        for i in merges[w]:
+            x = terms.pop(i)
+            merge_pairs.add((x, terms[i]))
+            terms[i] = mult(g, x, terms[i])
+    x, y = min((x, y) for x, y in merge_pairs - fold_pairs if x and y)
+    bad = corrupted(g, x, y, (g.table[x, y] + 1) % g.order)
+    letters = first_mismatch_scalar(bad, n_words, seed)
+    assert letters is not None
+    with pytest.raises(CatalogError, match="mismatch on") as info:
+        random_confluence_check(bad, n_words, seed)
+    assert str(info.value).endswith(f"on {letters}")
+
+
+def test_live_slots_table():
+    for mask in range(2**10):
+        bits = [slot for slot in range(10) if mask >> slot & 1]
+        assert _LIVE_SLOTS[mask, :len(bits)].tolist() == bits, mask
+
+
+def test_confluence_check_across_a_chunk_boundary():
+    """2^16 + 3 words are checked in two chunks: on a corrupted D8 every
+    word's outcome, and the first bad word, equal the scalar replay's."""
+    g = by_name(2)["D8"]
+    n_words, seed = 2**16 + 3, 4
+    bad = corrupted(g, 3, 5, (g.table[3, 5] + 1) % g.order)
+    want = [mismatch for _, mismatch in scalar_replay(bad, n_words, seed)]
+    assert any(want[:2**16]) and not all(want)
+    # letters[x, e + 2p] = g_x^e, g_0 = 1
+    letters = np.array([[collect_code(bad, [(x, e)] if x else [])
+                         for e in range(-2 * g.p, 2 * g.p + 1)]
+                        for x in range(g.ngens + 1)], dtype=np.int32)
+    chunks = list(_confluence_draws(bad, n_words, seed))
+    assert [len(c[0]) for c in chunks] == [2**16, 3]
+    got = np.concatenate([_confluence_mismatches(bad.table, letters, *c[1:])
+                          for c in chunks])
+    assert got.tolist() == want
+    with pytest.raises(CatalogError, match="mismatch on") as info:
+        random_confluence_check(bad, n_words, seed)
+    assert str(info.value).endswith(f"on {first_mismatch_scalar(bad, n_words, seed)}")
+
+
+def test_confluence_check_first_bad_word_in_a_later_chunk(monkeypatch):
+    """With chunks of 7 words, the first bad word often lies past the first
+    chunk: the check still names the scalar replay's first bad word."""
+    monkeypatch.setattr("rosegbs.pcgroup._CONFLUENCE_CHUNK", 7)
+    bad = corrupted(by_name(2)["D8"], 3, 5, 0)
+    firsts = []
+    for seed in range(12):
+        replay = list(scalar_replay(bad, 30, seed))
+        first = next((w for w, (_, mismatch) in enumerate(replay) if mismatch), None)
+        if first is None:
+            assert random_confluence_check(bad, 30, seed) == 30
+            continue
+        with pytest.raises(CatalogError, match="mismatch on") as info:
+            random_confluence_check(bad, 30, seed)
+        assert str(info.value).endswith(f"on {replay[first][0]}")
+        firsts.append(first)
+    assert max(firsts) >= 7, firsts
 
 
 def test_confluence_check_detects_corrupted_row():
