@@ -591,18 +591,26 @@ def load_catalog(path: str) -> list[PcGroup]:
 #: Longest word drawn by random_confluence_check.
 _CONFLUENCE_MAX_LEN = 10
 
-#: Words drawn and checked at once by random_confluence_check: 8.3 MB
+#: Words drawn and checked at once by random_confluence_check: 8.7 MB
 #: traced at its peak, drawing and checking included (He5, at 2^17 and at
 #: 10^6 words alike).
 _CONFLUENCE_CHUNK = 2**16
 
-#: _LIVE_SLOTS[mask, j] is the j-th set bit of a mask of _CONFLUENCE_MAX_LEN
-#: bits, for j below its popcount (the clear bits follow): the slot where
-#: term j of a bracketing starts (_confluence_mismatches).
-_LIVE_SLOTS = np.argsort(
-    (np.arange(2**_CONFLUENCE_MAX_LEN)[:, None] >> np.arange(_CONFLUENCE_MAX_LEN) & 1) == 0,
-    axis=1, kind="stable",
-).astype(np.intp)
+
+def _live_slots() -> np.ndarray:
+    """The table whose entry [mask, j] is the j-th set bit of a mask of
+    _CONFLUENCE_MAX_LEN bits, for j below its popcount (0 past it): the slot
+    where term j of a bracketing starts (_confluence_mismatches).  About
+    0.1 ms to build, so random_confluence_check builds it per call rather
+    than every import of rosegbs."""
+    masks = np.arange(2**_CONFLUENCE_MAX_LEN)
+    slots = np.zeros((len(masks), _CONFLUENCE_MAX_LEN), dtype=np.intp)
+    count = np.zeros(len(masks), dtype=np.intp)
+    for bit in range(_CONFLUENCE_MAX_LEN):
+        rows = masks[masks >> bit & 1 == 1]
+        slots[rows, count[rows]] = bit
+        count[rows] += 1
+    return slots
 
 
 def _confluence_draws(
@@ -636,30 +644,32 @@ def _confluence_draws(
         yield lengths, gens, exps, merges
 
 
-def _confluence_mismatches(table: np.ndarray, letters: np.ndarray, gens: np.ndarray,
-                           exps: np.ndarray, merges: np.ndarray) -> np.ndarray:
+def _confluence_mismatches(table: np.ndarray, letters: np.ndarray, slots: np.ndarray,
+                           gens: np.ndarray, exps: np.ndarray, merges: np.ndarray) -> np.ndarray:
     """Which words of a chunk of _confluence_draws get different values by
     the left fold and by the bracketing, as a bool array.  letters[g, e + 2p]
     is g^e, one row per generator g (g_0 = 1, for the padding) and one column
-    per exponent -2p <= e <= 2p.
+    per exponent -2p <= e <= 2p; slots is _live_slots().
 
     Each column of terms is one flat gather of letters, and every product
     one flat gather of the table.  The bracketing keeps each
     word's terms in place: a block of merged terms holds its value at the
     slot where it starts, and a 10-bit mask marks those slots.  Step s looks
     up the starts a < b of terms merges[w, s] and merges[w, s] + 1 in
-    _LIVE_SLOTS, writes t[v[a], v[b]] to slot a and clears bit b.  Slot 0 is
+    slots, writes t[v[a], v[b]] to slot a and clears bit b.  Slot 0 is
     never cleared, so it ends with the word's value.  Each merge multiplies
     the same two operands, in the same order, as replacing the pair by its
     product in a shrinking list of terms."""
     order, width = len(table), letters.shape[1]
-    table, letters, slots = table.ravel(), letters.ravel(), _LIVE_SLOTS.ravel()
+    live = np.full(len(gens), len(slots) - 1, dtype=np.intp)
+    table, letters, slots = table.ravel(), letters.ravel(), slots.ravel()
     a, b = np.empty((2, len(gens)), dtype=np.intp)
     # one column at a time: an index array for the whole chunk would be
     # converted to intp by take, twice the chunk's memory
     terms = np.empty(gens.shape, dtype=np.int32)
     for k in range(_CONFLUENCE_MAX_LEN):
-        np.multiply(gens[:, k], width, out=a)
+        # in intp: gens is int8, and g * (4p + 1) overflows it from p = 11
+        np.multiply(gens[:, k], width, out=a, dtype=np.intp)
         a += exps[:, k]
         a += width // 2
         terms[:, k] = letters.take(a)
@@ -671,10 +681,9 @@ def _confluence_mismatches(table: np.ndarray, letters: np.ndarray, gens: np.ndar
         fold += terms[:, k]
         table.take(fold, out=fold, mode="clip")
     values = terms.ravel()
-    live = np.full(len(terms), len(_LIVE_SLOTS) - 1, dtype=np.intp)
     starts = np.arange(0, values.size, _CONFLUENCE_MAX_LEN, dtype=np.intp)
     for step in range(_CONFLUENCE_MAX_LEN - 1):
-        # slots a, b of terms i, i + 1: entries j, j + 1 of _LIVE_SLOTS
+        # slots a, b of terms i, i + 1: entries i, i + 1 of row live of slots
         np.multiply(live, _CONFLUENCE_MAX_LEN, out=a)
         a += merges[:, step]
         slots[1:].take(a, out=b, mode="clip")
@@ -707,8 +716,10 @@ def random_confluence_check(group: PcGroup, n_words: int, seed: int) -> int:
     p = group.p
     codes = [0] + [group.generator_code(g) for g in range(1, group.ngens + 1)]
     letters = np.stack([group.powers(e)[codes] for e in range(-2 * p, 2 * p + 1)], axis=1)
+    slots = _live_slots()
     for lengths, gens, exps, merges in _confluence_draws(group, n_words, seed):
-        bad = np.flatnonzero(_confluence_mismatches(group.table, letters, gens, exps, merges))
+        bad = np.flatnonzero(
+            _confluence_mismatches(group.table, letters, slots, gens, exps, merges))
         if bad.size:
             w = bad[0]
             n = lengths[w]

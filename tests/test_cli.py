@@ -436,6 +436,17 @@ def test_catalog_validate_trivial_group(tmp_path, capsys, schema):
                               "confluence_words": 100}]
 
 
+def test_catalog_validate_larger_prime(tmp_path, capsys, schema):
+    # at p = 37 a letter's index g * (4p + 1) does not fit an int8
+    path = tmp_path / "c37.txt"
+    path.write_text("group C37 p=37 n=1\nend\n")
+    code, rep = run_json(capsys, "catalog-validate", str(path))
+    assert code == 0
+    jsonschema.validate(rep, schema)
+    assert rep["groups"] == [{"name": "C37", "p": 37, "order": 37, "status": "ok",
+                              "confluence_words": 1000}]
+
+
 def test_catalog_validate_word_count(tmp_path, capsys, schema):
     path = tmp_path / "cat.txt"
     path.write_text("group C9 p=3 n=2\npow 1 = g2\nend\n")

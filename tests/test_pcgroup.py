@@ -15,9 +15,9 @@ from rosegbs.pcgroup import (
     MAX_ORDER,
     PcGroup,
     PcPresentation,
-    _LIVE_SLOTS,
     _confluence_draws,
     _confluence_mismatches,
+    _live_slots,
     builtin_catalog,
     load_catalog_text,
     parse_catalog,
@@ -319,10 +319,29 @@ def corrupted(g, rows, cols, values):
     return bad
 
 
+# Groups at larger primes, where a letter's index g * (4p + 1) no longer fits
+# the int8 of the drawn generators (p >= 11 with n = 3, p >= 17 with n = 2,
+# p >= 37 with n = 1).
+WIDE_LETTER_GROUPS = {
+    "He11": "group He11 p=11 n=3\ncomm 2 1 = g3\nend\n",
+    "C289": "group C289 p=17 n=2\npow 1 = g2\nend\n",
+    "C31x2": "group C31x2 p=31 n=2\nend\n",
+    "C37": "group C37 p=37 n=1\nend\n",
+}
+
+
+def group_named(p, name):
+    if name in WIDE_LETTER_GROUPS:
+        (g,) = load_catalog_text(WIDE_LETTER_GROUPS[name])
+        return g
+    return by_name(p)[name]
+
+
 @pytest.mark.parametrize("p, name", [(p, g.name) for p in (2, 3, 5)
-                                     for g in builtin_catalog(p) if g.order >= 4])
+                                     for g in builtin_catalog(p) if g.order >= 4]
+                         + [(11, "He11"), (17, "C289"), (31, "C31x2"), (37, "C37")])
 def test_confluence_check_matches_scalar_replay(p, name):
-    g = by_name(p)[name]
+    g = group_named(p, name)
     rng = random.Random(name)
     outcomes = set()
     for seed in range(12):
@@ -369,9 +388,27 @@ def test_confluence_check_corruption_met_only_by_a_merge():
 
 
 def test_live_slots_table():
+    slots = _live_slots()
     for mask in range(2**10):
         bits = [slot for slot in range(10) if mask >> slot & 1]
-        assert _LIVE_SLOTS[mask, :len(bits)].tolist() == bits, mask
+        assert slots[mask, :len(bits)].tolist() == bits, mask
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_LETTER_GROUPS))
+def test_confluence_check_corrupted_row_at_larger_primes(name):
+    """A corrupted row of g_1 at a prime where letter indices overflow int8:
+    every word is read with its own letters, so the first bad word and the
+    message equal the scalar replay's, and the intact table passes."""
+    g = group_named(None, name)
+    g1 = g.generator_code(1)
+    bad = corrupted(g, g1, slice(None), np.roll(g.table[g1], 1))
+    for seed in range(3):
+        assert random_confluence_check(g, 1000, seed) == 1000
+        letters = first_mismatch_scalar(bad, 200, seed)
+        assert letters is not None
+        with pytest.raises(CatalogError, match="mismatch on") as info:
+            random_confluence_check(bad, 200, seed)
+        assert str(info.value).endswith(f"on {letters}")
 
 
 def test_confluence_check_across_a_chunk_boundary():
@@ -388,7 +425,7 @@ def test_confluence_check_across_a_chunk_boundary():
                         for x in range(g.ngens + 1)], dtype=np.int32)
     chunks = list(_confluence_draws(bad, n_words, seed))
     assert [len(c[0]) for c in chunks] == [2**16, 3]
-    got = np.concatenate([_confluence_mismatches(bad.table, letters, *c[1:])
+    got = np.concatenate([_confluence_mismatches(bad.table, letters, _live_slots(), *c[1:])
                           for c in chunks])
     assert got.tolist() == want
     with pytest.raises(CatalogError, match="mismatch on") as info:
