@@ -28,7 +28,13 @@ broadcast arrays of codes.  The relation re-check and the automorphism search
 evaluate both sides of the same relation list, PcGroup._relations (power
 relations first, then commutator relations), and the quotient oracle evaluates
 single words through it (quotients.evaluate_words runs the same fold over many
-words at once; quotients.loop_tables gathers the table and power maps itself).
+words at once; quotients.loop_tables gathers the table and power maps itself,
+and the oracle's hom counts gather PcGroup.classes instead).
+
+Computed on first use, never at load: is_abelian, the automorphism group
+(automorphisms, stabiliser_chain) and the conjugacy classes (classes: the
+class id, centraliser order and element order of every code, in O(order)
+memory, cached on the group and shared by every presentation's oracle).
 
 The catalog file format (line-oriented, '#' comments):
 
@@ -72,7 +78,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -355,7 +361,7 @@ class PcGroup:
             if self.evaluate(lhs, gens) != self.evaluate(rhs, gens):
                 raise CatalogError(f"group {self.name}: {name} violated")
 
-    # -- symmetry (computed on first use, never at load) ------------------------
+    # -- symmetry and classes (computed on first use, never at load) ------------
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -404,6 +410,31 @@ class PcGroup:
         """Point stabilisers of self.automorphisms, grown as walks reach them."""
         return StabiliserChain(self.automorphisms)
 
+    @cached_property
+    def classes(self) -> "ClassData":
+        """The conjugacy class id, centraliser order and element order of
+        every code (Holt, Eick & O'Brien, Handbook of Computational Group
+        Theory, 2005, ch. 4), in O(order) memory.
+
+        The least code x not yet in a class gets the next id, so class 0 is
+        {1} and ids rise with each class's least code.  Its class is the
+        orbit {g^(-1) x g : g in P}, one flat take of the table over row x,
+        and |C_P(x)| = |P| / |class of x| for every member.  The order of x
+        is the least p-power q with x^q = 1: the power-map rows q = E/p,
+        E/p^2, .., 1 are tested from the largest down, E the exponent."""
+        n, flat = self.order, self.table.ravel()
+        cls = np.full(n, -1, dtype=np.int32)
+        conj = self.inv.astype(np.intp) * n  # g^(-1) x g = table[inv[g], table[x, g]]
+        for x in range(n):
+            if cls[x] < 0:
+                cls[flat.take(conj + self.table[x])] = cls.max() + 1
+        element_order = np.full(n, self.exponent, dtype=np.int32)
+        q = self.exponent
+        while q > 1:
+            q //= self.p
+            element_order[self.powers(q) == 0] = q
+        return ClassData(cls, (n // np.bincount(cls)[cls]).astype(np.int32), element_order)
+
     # -- element operations ----------------------------------------------------
 
     @property
@@ -450,6 +481,15 @@ class PcGroup:
 
     def __repr__(self) -> str:
         return f"PcGroup({self.name}, order={self.order})"
+
+
+class ClassData(NamedTuple):
+    """PcGroup.classes: per code x, the id of its conjugacy class, |C_P(x)|
+    and the order of x, as int32 arrays indexed by code."""
+
+    cls: np.ndarray
+    centraliser: np.ndarray
+    element_order: np.ndarray
 
 
 class StabiliserChain:

@@ -22,13 +22,15 @@ Every target offers order, homs (how many homomorphisms it tests) and
 separate(words) -> one witness dict or None per word, so
 QuotientOracle.verdicts is one pass over the targets.
 
-Every catalog target is a CatalogHoms, which keeps the loop tables (for an
-abelian P only the set A below) and homs, the count of every homomorphism.
-separate evaluates a batch of words on a set of homomorphisms, the columns
-of an imgs array in lexicographic order, all at once (evaluate_words), and
-each word reports the first that does not kill it.  A batch whose every
-word is a power of a is evaluated on one homomorphism per a-image (see
-"Powers of a" below), any other batch on representatives of all of them.
+Every catalog target is a CatalogHoms, which keeps A_P = {x : T_i(x) is not
+empty for every i} and homs, the count of every homomorphism, both taken
+from the conjugacy classes of P without any loop table (see "Loop data from
+classes" below).  separate decides a batch whose every word is a power of a
+in closed form (see "Powers of a" below).  It evaluates any other batch on
+representatives of all the homomorphisms, the columns of an imgs array in
+lexicographic order, all at once (evaluate_words), and each word reports
+the first that does not kill it; only the orbit walk of a non-abelian P
+builds loop tables.
 
 * Abelian P: the axis homs.  In an abelian P the loop reads
   a^(n_i) = a^(m_i) and puts no condition on t_i, so Hom(G, P) = A x P^r
@@ -76,10 +78,24 @@ word is a power of a is evaluated on one homomorphism per a-image (see
   extending a lexicographically ordered frontier by increasing x_i keeps
   them in lexicographic order.
 
+Loop data from classes.  T_i(x) = {t : t x^(n_i) t^(-1) = x^(m_i)} is
+empty unless x^(n_i) and x^(m_i) are conjugate in P.  If they are, take t_0
+in T_i(x).  Then t x^(n_i) t^(-1) = x^(m_i) = t_0 x^(n_i) t_0^(-1) exactly
+when t_0^(-1) t commutes with x^(n_i), so T_i(x) = t_0 C_P(x^(n_i)), a coset
+of the centraliser with |C_P(x^(n_i))| elements.  So with cls(y) the
+conjugacy class of y and the centraliser orders of PcGroup.classes,
+
+    homs = sum over x of prod_i [cls(x^(n_i)) = cls(x^(m_i))] |C_P(x^(n_i))|,
+
+and A_P is the set of x for which every loop's two powers are conjugate:
+O(order) gathers per loop, where a loop table takes order^2.  On an abelian
+P every class is one element and every centraliser is P, so A_P is
+A = {x : x^(n_i) = x^(m_i) for all i} and homs = |A| |P|^r.
+
 Powers of a.  Under a hom phi, w = a^k maps to phi(a)^k, which depends on
 x = phi(a) alone.  The homs with phi(a) = x are {x} x T_1(x) x .. x T_r(x),
-so there are some exactly when x lies in A_P = {x : T_i(x) is not empty for
-every i}, and in lexicographic order they come in blocks of increasing x.
+so there are some exactly when x lies in A_P, and in lexicographic order
+they come in blocks of increasing x.
 So the first separating hom phi is (x*, min T_1(x*), .., min T_r(x*)),
 where x* is the least x in A_P with x^k != 1, and there is none when no
 such x exists.  phi is least in its orbit under every subgroup A of
@@ -91,13 +107,20 @@ and alpha o phi >= phi.  So phi is the first separating orbit
 representative, the hom the representatives give, whether A is all of
 Aut(P) or {id}.  On an abelian P, where T_i(x) = P for x in A_P = A, phi is
 the axis hom a = x* with every t_i = 1, the first separating axis hom by
-the argument above.  So CatalogHoms.power_homs, the least hom
-(x, min T_1(x), .., min T_r(x)) for every x in A_P in increasing order of
-x, gives a batch of powers of a the target, homs_tested, max_order and
-witness the representatives give, and no representative is built: no
-orbit walk, no axis homs.  A word counts as a power of a after the
-reductions below (on an abelian P after abelianising), so words such as
-t^E a^k take this path too.
+the argument above.
+Some x in A_P has x^k != 1 exactly when the exponent e_A of A_P, the
+largest order of an element of A_P, does not divide k.  Each order in P is
+a power of p, so every order in A_P divides e_A, and x^k = 1 exactly when
+the order of x divides k: if e_A divides k, every x in A_P has x^k = 1, and
+if not, an x of order e_A has x^k != 1.  So CatalogHoms.separate decides a
+batch of powers of a in closed form: a^k is killed by every hom when e_A
+divides k, and otherwise its witness is phi, with x* found among A_P and
+each min T_i(x*) the first t of row x* of loop table i.  That is the
+target, homs_tested, max_order and witness the representatives give, with
+no representative built (no orbit walk, no axis homs), no loop table and
+no word evaluated.  A word counts as a power of a after the reductions
+below (on an abelian P after abelianising), so words such as t^E a^k take
+this path too.
 
 On either kind, each word is evaluated reduced modulo the exponent E of P
 (Word.reduced_mod, PcGroup.exponent): every exponent is taken mod E, zero
@@ -145,6 +168,7 @@ homomorphisms in lexicographic order.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -304,17 +328,17 @@ class CatalogHoms:
     """Hom(G, P) for a catalog group P, which separate() tests (see the module
     docstring); homs counts every hom.
 
-    tables holds the loop tables T_1, .., T_r of a non-abelian P and is empty
-    for an abelian P, where every T_i(x) is P or empty; a_codes is then
-    A = {x : x^(n_i) = x^(m_i) for all i}, in increasing order.  imgs holds
-    the representatives when the constructor walked them (see QuotientOracle)
-    and is None otherwise: representatives() builds them on each call."""
+    a_codes is A_P = {x : T_i(x) is not empty for every i}, in increasing
+    order, and homs and a_codes come from P's conjugacy classes (see "Loop
+    data from classes" in the module docstring), not from loop tables.  imgs
+    holds the representatives when the constructor walked them (see
+    QuotientOracle) and is None otherwise: representatives() builds them,
+    with the loop tables an orbit walk needs, on each call."""
 
     group: PcGroup
-    r: int
+    pres: RoseGbs
     homs: int
-    tables: tuple[np.ndarray, ...] = ()
-    a_codes: Optional[np.ndarray] = None
+    a_codes: np.ndarray
     imgs: Optional[np.ndarray] = None
 
     @property
@@ -327,9 +351,9 @@ class CatalogHoms:
         abelian P, the Aut(P)-orbit representatives otherwise."""
         if self.imgs is not None:
             return self.imgs
-        if self.tables:
-            return orbit_homs(self.group, self.tables)
-        n, r, a_codes = self.order, self.r, self.a_codes
+        if not self.group.is_abelian:
+            return orbit_homs(self.group, loop_tables(self.pres, self.group))
+        n, r, a_codes = self.order, self.pres.r, self.a_codes
         imgs = np.zeros((r + 1, r * (n - 1) + len(a_codes)), dtype=np.int32)
         for j in range(1, r + 1):  # the t_r block first, t_1 last
             lo = 1 + (r - j) * (n - 1)
@@ -337,21 +361,13 @@ class CatalogHoms:
         imgs[0, 1 + r * (n - 1):] = a_codes[1:]
         return imgs
 
-    def power_homs(self) -> np.ndarray:
-        """The least hom with a-image x for every x in A_P, in increasing
-        order, as columns like representatives(): (x, min T_1(x), ..,
-        min T_r(x)), with every t_i = 1 on an abelian P.  On powers of a the
-        first separating hom is one of them (see the module docstring)."""
-        if not self.tables:
-            imgs = np.zeros((self.r + 1, len(self.a_codes)), dtype=np.int32)
-            imgs[0] = self.a_codes
-            return imgs
-        ok = np.logical_and.reduce([table.any(axis=1) for table in self.tables])
-        a_codes = np.flatnonzero(ok)  # A_P, starting at the identity 0
-        return np.array(
-            [a_codes, *(table[a_codes].argmax(axis=1) for table in self.tables)],
-            dtype=np.int32,
-        )
+    def least_hom(self, x: int) -> list[int]:
+        """(x, min T_1(x), .., min T_r(x)) for x in A_P, the least hom with
+        a-image x: min T_i(x) is the first t of row x of loop table i, the
+        least t with t x^(n_i) = x^(m_i) t."""
+        table, powers = self.group.table, self.group.powers
+        return [x] + [int(np.argmax(table[:, powers(loop.n)[x]] == table[powers(loop.m)[x]]))
+                      for loop in self.pres.loops]
 
     def separate(self, words: Sequence[Word]) -> list[Optional[dict]]:
         """Per word, the witness for the first hom (in lexicographic order)
@@ -359,13 +375,16 @@ class CatalogHoms:
         abelianised on an abelian P and reduced mod the exponent (see the
         module docstring).
 
-        A batch whose every such word is a power of a is evaluated on
-        power_homs(), any other batch on representatives(); either is built
-        for this batch only.  The words go to evaluate_words together, in
-        chunks of whole words whose letters times the homs stay within
-        _EVAL_BLOCK letter images; a word too long for that is a chunk of its
-        own.  So on a target with many representatives, where per-call costs
-        do not count, each word is evaluated alone."""
+        A batch whose every such word is a power a^k is decided in closed
+        form: a^k is killed by every hom exactly when the exponent of A_P,
+        the largest element order in it, divides k (see "Powers of a" in the
+        module docstring), and no word is evaluated.  Any other batch is
+        evaluated on representatives(), built for this batch only.  The
+        words go to evaluate_words together, in chunks of whole words whose
+        letters times the homs stay within _EVAL_BLOCK letter images; a word
+        too long for that is a chunk of its own.  So on a target with many
+        representatives, where per-call costs do not count, each word is
+        evaluated alone."""
         g, e = self.group, self.group.exponent
         out: list[Optional[dict]] = [None] * len(words)
         live = []
@@ -373,12 +392,17 @@ class CatalogHoms:
             w = (w.abelianised if g.is_abelian else w).reduced_mod(e)
             if w.letters:
                 live.append((k, w))
-        if not live:
-            return out
         if all(len(w.letters) == 1 and not w.letters[0][0] for _, w in live):
-            imgs = self.power_homs()  # every word is a power of a
-        else:
-            imgs = self.representatives()
+            # a^e: separated iff e_A does not divide e; x* the least x in
+            # A_P with x^e != 1 (see "Powers of a" in the module docstring)
+            exponent_a = int(g.classes.element_order.take(self.a_codes).max())
+            for k, w in live:
+                powers = g.powers(w.letters[0][1])
+                if w.letters[0][1] % exponent_a:
+                    x = int(self.a_codes[powers.take(self.a_codes).nonzero()[0][0]])
+                    out[k] = self._witness(self.least_hom(x), int(powers[x]))
+            return out
+        imgs = self.representatives()
         chunk, letters = [], 0
         for k, w in live:
             letters += len(w.letters)
@@ -616,21 +640,23 @@ class QuotientOracle:
 
     targets lists them in scan order, all built here, once: one CatalogHoms
     per catalog group within the budget, in file order, then one
-    HolomorphQuotient per s.  A CatalogHoms is built with its loop tables
-    and homs (for an abelian P, A and homs); its representatives, the orbit
-    walk or the axis homs, are left to separate(), which builds them only for
-    a batch holding a word with a stable letter, and builds them again for
-    every such batch: verify sends each target one batch.  An oracle is not
-    changed after this constructor.
+    HolomorphQuotient per s.  A CatalogHoms is built with A_P and homs, from
+    the group's classes (homs_for); its representatives, the orbit walk with
+    its loop tables or the axis homs, are left to separate(), which builds
+    them only for a batch holding a word with a stable letter, and builds
+    them again for every such batch: verify sends each target one batch.  So
+    a case-1 verify, whose words are powers of a, builds no loop table.  An
+    oracle is not changed after this constructor.
 
     A non-abelian catalog group whose orbit representatives would take more
     than MAX_ASSIGNMENTS codes is left out and named in skipped_groups; an
     abelian one never is, as it has only r (|P| - 1) + |A| axis homs.  Level
     k of the walk holds at most order^(k+1) prefixes, so a group with
     order^(r+1) (r + 1) <= MAX_ASSIGNMENTS is never over the budget, and
-    every other non-abelian group is walked here, to know whether it is: its
-    representatives are kept in its target's imgs.  So skipped_groups, and
-    every report, is the same as if every target were walked here.
+    every other non-abelian group is walked here, loop tables and all, to
+    know whether it is: its representatives are kept in its target's imgs.
+    So skipped_groups, and every report, is the same as if every target
+    were walked here.
 
     Holomorphs are built for s = 1, 2, .. and the first unavailable s ends
     the list, since then every larger s is unavailable too.  "not-applicable"
@@ -682,23 +708,24 @@ class QuotientOracle:
 
     def homs_for(self, group: PcGroup) -> Optional[CatalogHoms]:
         """The target of one catalog group, None when its orbit representatives
-        would exceed the budget: an abelian P keeps A, a non-abelian P its loop
-        tables, and a non-abelian P whose walk could exceed the budget is
-        walked here (see the class docstring)."""
-        n, r = group.order, self.pres.r
-        if group.is_abelian:
-            ok = np.ones(n, dtype=bool)
-            for loop in self.pres.loops:
-                ok &= group.powers(loop.n) == group.powers(loop.m)
-            a_codes = np.flatnonzero(ok)  # A, starting at the identity 0
-            return CatalogHoms(group, r, len(a_codes) * n**r, a_codes=a_codes)
-        tables = tuple(loop_tables(self.pres, group))
-        counts = zip(*(ok.sum(axis=1).tolist() for ok in tables))
-        homs = sum(math.prod(c) for c in counts)
-        if n ** (r + 1) * (r + 1) <= MAX_ASSIGNMENTS:
-            return CatalogHoms(group, r, homs, tables)
-        imgs = orbit_homs(group, tables)
-        return None if imgs is None else CatalogHoms(group, r, homs, tables, imgs=imgs)
+        would exceed the budget.  A_P and homs come from the classes of P by
+        one path for both kinds: x is in A_P when cls(x^(n_i)) = cls(x^(m_i))
+        for every loop, and then adds the product of the |C_P(x^(n_i))| to
+        homs (see the module docstring).  A non-abelian P whose walk could
+        exceed the budget is walked here (see the class docstring)."""
+        n, r, loops = group.order, self.pres.r, self.pres.loops
+        cls, centraliser = group.classes.cls, group.classes.centraliser
+        ok = True
+        for loop in loops:
+            ok = ok & (cls.take(group.powers(loop.n)) == cls.take(group.powers(loop.m)))
+        a_codes = ok.nonzero()[0]  # A_P, starting at the identity 0
+        sizes = [centraliser.take(group.powers(loop.n).take(a_codes)).tolist()
+                 for loop in loops]
+        target = CatalogHoms(group, self.pres, sum(map(math.prod, zip(*sizes))), a_codes)
+        if group.is_abelian or n ** (r + 1) * (r + 1) <= MAX_ASSIGNMENTS:
+            return target
+        imgs = orbit_homs(group, loop_tables(self.pres, group))
+        return None if imgs is None else dataclasses.replace(target, imgs=imgs)
 
     @property
     def total_homs(self) -> int:

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -319,6 +321,34 @@ def test_json_renders_no_text(capsys, tmp_path, monkeypatch):
         argv, want = golden_text_argv(name, tmp_path)
         assert main([*argv, "--format", "json"]) == want
         json.loads(capsys.readouterr().out)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**200).map(lambda n: -n),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "b": {}, "a": [[], {}, [[]], {"x": {}}], "\u00e9\x00\n\u2028\x7f": "\U0001F600\t\""})
+@example([True, 1, False, 0, 2**64, -(2**64) - 1, 10**40, True, 1.0, -0.0])
+@example({"f": [float("inf"), float("-inf"), float("nan"), 1e300, 5e-324, 0.1]})
+@example([])
+@example({})
+@example("plain")
+def test_json_emitter_matches_json_dumps(value):
+    """The report emitter writes what json.dumps(.., sort_keys=True,
+    indent=2) writes, byte for byte."""
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_presentation_from_file(tmp_path, capsys):

@@ -1008,7 +1008,7 @@ def test_automorphisms_identity_only_over_the_cap(monkeypatch):
 def test_loading_builds_no_automorphism_table():
     from importlib import resources
 
-    lazy = ("automorphisms", "is_abelian", "stabiliser_chain")
+    lazy = ("automorphisms", "is_abelian", "stabiliser_chain", "classes")
     for p in (2, 3, 5):
         text = resources.files("rosegbs.data").joinpath(f"catalog_p{p}.txt")
         for g in load_catalog_text(text.read_text()):
@@ -1028,3 +1028,53 @@ def test_confluence_check_memory_is_flat():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+# --- conjugacy classes --------------------------------------------------------------
+
+#: k(P), the number of conjugacy classes, of every non-abelian shipped group.
+CLASS_COUNTS = {
+    "D8": 5, "Q8": 5, "D16": 7, "SD16": 7, "Q16": 7, "M16": 10, "D8xC2": 10,
+    "Q8xC2": 10, "C4:C4": 10, "V4:C4": 10, "D8*C4": 10, "He3": 11, "M27": 11,
+    "He5": 29, "M125": 29,
+}
+
+
+@functools.cache
+def order_2048_groups():
+    """The extraspecial group 2^(1+10) and C2048, the CI catalog step's
+    groups of the largest order."""
+    return [PcGroup(PcPresentation(
+                "2^1+10", 2, 11, comm_words={(i + 5, i): ((11, 1),) for i in range(1, 6)})),
+            PcGroup(PcPresentation("C2048", 2, 11, {i: ((i + 1, 1),) for i in range(1, 11)}))]
+
+
+def test_class_data_matches_brute_force():
+    """On every shipped group and the two order-2^11 groups: |C_P(x)| counts
+    the t with t x = x t; the ids are invariant under conjugation by every
+    generator and each id's codes number |P| / |C_P(x)|, so each id is one
+    whole class; ids rise with each class's least code; the class equation
+    sum |C_P(x)| = |P| k(P) holds; and the element orders are those of
+    repeated multiplication."""
+    counts = {}
+    for g in all_groups() + order_2048_groups():
+        n, (cls, centraliser, element_order) = g.order, g.classes
+        assert cls.dtype == centraliser.dtype == element_order.dtype == np.int32
+        assert np.array_equal(centraliser, (g.table == g.table.T).sum(axis=0))
+        for i in range(1, g.ngens + 1):
+            s = g.generator_code(i)
+            assert np.array_equal(cls[g.table[g.inv[s]][g.table[:, s]]], cls), g.name
+        k = int(cls.max()) + 1
+        assert np.array_equal(np.bincount(cls, minlength=k)[cls], n // centraliser)
+        first = [int(np.flatnonzero(cls == c)[0]) for c in range(k)]
+        assert first == sorted(first) and first[0] == 0
+        assert int(centraliser.sum(dtype=np.int64)) == n * k
+        acc, order = np.arange(n), np.zeros(n, dtype=np.int64)
+        for q in range(1, g.exponent + 1):
+            order[(acc == 0) & (order == 0)] = q
+            acc = g.table[acc, np.arange(n)]
+        assert np.array_equal(element_order, order), g.name
+        counts[g.name] = k
+    assert {name: counts[name] for name in CLASS_COUNTS} == CLASS_COUNTS
+    assert all(counts[g.name] == g.order for g in all_groups() if g.is_abelian)
+    assert counts["2^1+10"] == 2**10 + 1 and counts["C2048"] == 2048

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -32,7 +33,7 @@ from rosegbs.quotients import (
     orbit_homs,
     verify_theorem,
 )
-from test_pcgroup import extra_groups
+from test_pcgroup import extra_groups, order_2048_groups
 
 
 def pres(*pairs):
@@ -803,16 +804,19 @@ def power_batches(draw):
 @settings(max_examples=60, deadline=None)
 @given(power_batches())
 def test_powers_of_a_match_representatives_and_full_sweep(case):
-    """On every catalog target, a batch of powers of a (decided without any
-    representative) gets the witnesses of the first hit over the
-    representatives and over every hom_arrays row; and each verdict, with its
-    homs_tested and max_order, is the full sweep's."""
+    """On every catalog target, a batch of powers of a (decided in closed
+    form: no representative, loop table or word evaluation) gets the
+    witnesses of the first hit over the representatives and over every
+    hom_arrays row; and each verdict, with its homs_tested, max_order and
+    witness, is the full sweep's."""
     p, pr, words = case
     budget = Budget(max_order=FULL_MAX_ORDER[p], s_max=2)
     oracle = QuotientOracle(pr, p, budget)
     catalog = [t for t in oracle.targets if isinstance(t, CatalogHoms)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CatalogHoms, "representatives", no_representatives)
+        mp.setattr("rosegbs.quotients.loop_tables", no_representatives)
+        mp.setattr("rosegbs.quotients.evaluate_words", no_representatives)
         got = [t.separate(words) for t in catalog]
         verdicts = oracle.verdicts(words)
     for target, witnesses in zip(catalog, got):
@@ -832,7 +836,8 @@ def test_powers_of_a_examples():
     """Under t a t^-1 = a^3, D8's first hom that does not kill a^2 sends a to
     a rotation r of order 4 and t to a reflection (t r t^-1 = r^-1), not to
     1.  Under t a t^-1 = a^2 only a = 1 has a t-image in D8 (A_P = {1},
-    though every x != 1 has x^1 != 1), so no power of a is separated there."""
+    though every x != 1 has x^1 != 1), so no power of a is separated there.
+    x* is the least x in A_P, not in P, with x^k != 1."""
     d8 = by_name(2)["D8"]
     a, a2 = generator(0), generator(0, 2)
     target = catalog_target(pres((1, 3)), d8)
@@ -844,15 +849,27 @@ def test_powers_of_a_examples():
     target = catalog_target(pres((1, 2)), d8)
     assert len(hom_arrays(pres((1, 2)), d8)[0]) == target.homs == d8.order
     assert target.separate([a, generator(0, 3), generator(0, 10**30 + 1)]) == [None] * 3
+    # under t a^-3 t^-1 = a^3, M16's least x with x^2 != 1 is code 2, which
+    # is not in A_P; the first hom that does not kill a^2 sends a to code 10
+    m16 = by_name(2)["M16"]
+    target = catalog_target(pres((-3, 3)), m16)
+    assert 2 not in target.a_codes and 10 in target.a_codes
+    (witness,) = target.separate([a2])
+    a_img, t_imgs = hom_arrays(pres((-3, 3)), m16)
+    assert witness == first_hit_witness(
+        m16, a_img, t_imgs, evaluate_word_bulk(a2, m16, a_img, t_imgs))
+    assert witness["image_a"] == m16.element_str(10)
 
 
 @pytest.mark.parametrize("pairs, p", [([(2, 12)], 2), ([(3, 6)], 3), ([(2, 12), (4, 6)], 2)])
 def test_case1_verify_builds_no_representatives(monkeypatch, pairs, p):
     """A case-1 verify checks powers of a only (containment, separation and
-    the r = 1 Moldavanskii words), so no target walks its orbits or lists
-    its axis homs."""
+    the r = 1 Moldavanskii words), so no target walks its orbits, lists its
+    axis homs, builds a loop table or evaluates a word."""
     monkeypatch.setattr("rosegbs.quotients.orbit_homs", no_representatives)
     monkeypatch.setattr(CatalogHoms, "representatives", no_representatives)
+    monkeypatch.setattr("rosegbs.quotients.loop_tables", no_representatives)
+    monkeypatch.setattr("rosegbs.quotients.evaluate_words", no_representatives)
     rep = verify_theorem(pres(*pairs), p)
     assert rep.classification.case == Case.ONE and rep.status == "ok"
     assert all(c.word.max_gen() == 0 for c in rep.checks)
@@ -860,17 +877,72 @@ def test_case1_verify_builds_no_representatives(monkeypatch, pairs, p):
 
 def test_case2_verify_walks_each_target_at_most_once(monkeypatch):
     """Verify sends each target one batch, so a target that a word with a
-    stable letter reaches walks its orbits once."""
-    walked = []
+    stable letter reaches walks its orbits once, and builds its loop tables
+    once, for that walk."""
+    walked, tabled = [], []
 
     def recording(group, tables, walk=orbit_homs):
         walked.append(group.name)
         return walk(group, tables)
 
+    def recording_tables(pr, group, build=loop_tables):
+        tabled.append(group.name)
+        return build(pr, group)
+
     monkeypatch.setattr("rosegbs.quotients.orbit_homs", recording)
+    monkeypatch.setattr("rosegbs.quotients.loop_tables", recording_tables)
     rep = verify_theorem(pres((3, 1), (5, 1)), 2, Bounds(k_max=1, comm_word_len=4))
     assert rep.classification.case == Case.TWO
     assert len(walked) >= 5 and len(set(walked)) == len(walked)
+    assert tabled == walked
+
+
+# --- loop data from classes -----------------------------------------------------
+
+
+def check_class_loop_data(pr, g):
+    """homs, A_P and min T_i(x) for every x in A_P of g's target under pr,
+    taken from g's classes, against the sums and rows of loop_tables."""
+    target = catalog_target(pr, g)
+    tables = loop_tables(pr, g)
+    counts = zip(*(t.sum(axis=1).tolist() for t in tables))
+    assert target.homs == sum(math.prod(c) for c in counts), g.name
+    a_codes = np.flatnonzero(np.logical_and.reduce([t.any(axis=1) for t in tables]))
+    assert np.array_equal(target.a_codes, a_codes), g.name
+    for x in a_codes.tolist():
+        assert target.least_hom(x) == [x] + [int(t[x].argmax()) for t in tables]
+    return len(a_codes)
+
+
+@st.composite
+def class_loop_cases(draw):
+    """A shipped group and up to 3 loops (2 at order 125, so that the
+    constructor walks nothing), whose exponents are mostly unequal, may be
+    negative, and reach past the exponent E of the group and past 10^30."""
+    g = draw(st.sampled_from([g for p in (2, 3, 5) for g in builtin_catalog(p)]))
+    e = g.exponent
+    exponent = st.one_of(st.integers(-3 * e, 3 * e), st.integers(10**30, 10**31)).filter(bool)
+    r = draw(st.integers(1, 2 if g.order >= 125 else 3))
+    return g, pres(*[(draw(exponent), draw(exponent)) for _ in range(r)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(class_loop_cases())
+def test_class_loop_data_matches_loop_tables(case):
+    check_class_loop_data(case[1], case[0])
+
+
+@pytest.mark.parametrize("loops", [[(1, 2)], [(1, -1)], [(3, 5), (2, 2)], [(-6, 2**11 + 2)]])
+def test_class_loop_data_on_every_group(loops):
+    """On every shipped group and the two order-2^11 groups, at loops with
+    some T_i(x) empty (A_P is not all of P)."""
+    groups = [g for p in (2, 3, 5) for g in builtin_catalog(p)]
+    if len(loops) == 1:
+        groups += order_2048_groups()
+    sizes = {g.name: check_class_loop_data(pres(*loops), g) for g in groups}
+    assert any(sizes[g.name] < g.order for g in groups)
+    if loops == [(1, 2)]:  # x = x^2 only for x = 1, and then T(1) = P
+        assert set(sizes.values()) == {1}
 
 
 # --- orbit representatives ------------------------------------------------------
