@@ -115,10 +115,10 @@ the order of x divides k: if e_A divides k, every x in A_P has x^k = 1, and
 if not, an x of order e_A has x^k != 1.  So CatalogHoms.separate decides a
 batch of powers of a in closed form: a^k is killed by every hom when e_A
 divides k, and otherwise its witness is phi, with x* found among A_P and
-each min T_i(x*) the first t of row x* of loop table i.  That is the
-target, homs_tested, max_order and witness the representatives give, with
-no representative built (no orbit walk, no axis homs), no loop table and
-no word evaluated.  A word counts as a power of a after the reductions
+each min T_i(x*) the first t of row x* of loop table i, a row computed
+alone.  That is the target, homs_tested, max_order and witness the
+representatives give, with no representative built (no orbit walk, no axis
+homs), no whole loop table and no word evaluated.  A word counts as a power of a after the reductions
 below (on an abelian P after abelianising), so words such as t^E a^k take
 this path too.
 
