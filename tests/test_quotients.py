@@ -776,7 +776,8 @@ def test_verdict_per_oracle_budget():
 
 
 def no_representatives(*args):
-    raise AssertionError("representatives built for a batch of powers of a")
+    raise AssertionError("representatives, a loop table or a word evaluation"
+                         " for a batch of powers of a")
 
 
 @st.composite
